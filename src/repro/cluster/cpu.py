@@ -51,6 +51,7 @@ class Core:
         "frequency_ghz",
         "tstate",
         "activity",
+        "speed_factor",
         "_listeners",
         "tracer",
     )
@@ -74,6 +75,7 @@ class Core:
         self.frequency_ghz = spec.fmax
         self.tstate = 0
         self.activity = Activity.IDLE
+        self._update_speed()
         self._listeners: List[StateListener] = []
         self.tracer: Tracer = NULL_TRACER
 
@@ -112,6 +114,7 @@ class Core:
                 self.frequency_ghz, snapped,
             )
         self.frequency_ghz = snapped
+        self._update_speed()
 
     def set_tstate(self, level: int, now: float) -> None:
         """Apply a throttle change (T0..T7)."""
@@ -126,6 +129,7 @@ class Core:
                 now, self.core_id, self.node_id, "tstate", self.tstate, level
             )
         self.tstate = level
+        self._update_speed()
 
     def set_activity(self, activity: Activity, now: float) -> None:
         if activity == self.activity:
@@ -145,14 +149,14 @@ class Core:
         """Fraction of active cycles under the current T-state."""
         return tstate_duty(self.tstate)
 
-    @property
-    def speed_factor(self) -> float:
-        """Relative instruction throughput vs. an unthrottled core at fmax.
-
-        CPU-bound work (message posting, shared-memory copies) takes
-        ``1 / speed_factor`` times longer on a scaled/throttled core.
-        """
-        return (self.frequency_ghz / self.spec.fmax) * self.duty
+    def _update_speed(self) -> None:
+        """Refresh ``speed_factor``: relative instruction throughput vs.
+        an unthrottled core at fmax.  CPU-bound work (message posting,
+        shared-memory copies) takes ``1 / speed_factor`` times longer on
+        a scaled/throttled core.  Called by the only two writers of its
+        inputs, :meth:`set_frequency` and :meth:`set_tstate`, so reads
+        (twice per message, once per CPU overhead) cost nothing."""
+        self.speed_factor = (self.frequency_ghz / self.spec.fmax) * self.duty
 
     def cpu_time(self, seconds_at_peak: float) -> float:
         """Wall time needed for work that takes ``seconds_at_peak`` at

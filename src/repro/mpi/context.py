@@ -94,38 +94,51 @@ class RankContext:
         wait begin arms the countdown, wait end measures the slack and, if
         the core was dropped mid-wait, pays the restore transition before
         the program continues (mirroring how the static schemes charge
-        Odvfs/Othrottle).
+        Odvfs/Othrottle).  :meth:`_p2p` inlines the same sequence.
         """
-        governor = self.job.governor
+        job = self.job
+        governor = job.governor
         if governor is not None:
             governor.wait_begin(self)
-        arbiter = self.job.arbiter
-        wait_start = self.env.now if arbiter is not None else 0.0
-        if self.job.progress is ProgressMode.POLLING:
+        wait_start = self.env.now
+        if job.progress is ProgressMode.POLLING:
             value = yield event
         else:
-            spec = self.spec
-            spin = self.env.timeout(spec.spin_window)
-            yield self.env.any_of([event, spin])
-            if event.triggered:
-                value = event.value
-            else:
-                self.core.set_activity(Activity.BLOCKED, self.env.now)
-                value = yield event
-                self.core.set_activity(Activity.POLLING, self.env.now)
-                yield self.env.timeout(
-                    spec.interrupt_latency + spec.resched_latency
-                )
+            value = yield from self._block_on(event)
+        penalty = self._wait_end(wait_start)
+        if penalty > 0.0:
+            yield self.env.timeout(penalty)
+            governor.wait_restored(self)
+        return value
+
+    def _block_on(self, event: Event):
+        """Blocking-mode wait: spin for the spin window, then sleep until
+        ``event`` fires and pay the wake-up latency."""
+        env = self.env
+        spec = self.spec
+        spin = env.timeout(spec.spin_window)
+        yield env.any_of([event, spin])
+        if event.triggered:
+            return event.value
+        self.core.set_activity(Activity.BLOCKED, env.now)
+        value = yield event
+        self.core.set_activity(Activity.POLLING, env.now)
+        yield env.timeout(spec.interrupt_latency + spec.resched_latency)
+        return value
+
+    def _wait_end(self, wait_start: float) -> float:
+        """Report a finished wait; returns the governor's restore penalty
+        (the caller sleeps it, then calls ``governor.wait_restored``)."""
+        job = self.job
+        arbiter = job.arbiter
         if arbiter is not None:
             # The redistribute policy's slack signal: how long this core
             # sat in MPI waits (communication-bound nodes donate budget).
             arbiter.record_wait(self.core.core_id, self.env.now - wait_start)
-        if governor is not None:
-            penalty = governor.wait_end(self)
-            if penalty > 0.0:
-                yield self.env.timeout(penalty)
-                governor.wait_restored(self)
-        return value
+        governor = job.governor
+        if governor is None:
+            return 0.0
+        return governor.wait_end(self)
 
     def _governed(self, op: str, nbytes: int, inner):
         """Run ``inner`` (an operation generator) between governor
@@ -136,10 +149,69 @@ class RankContext:
         if governor is None:
             value = yield from inner
             return value
-        yield from governor.call_begin(self, op, nbytes)
+        delay = governor.call_begin(self, op, nbytes)
+        if delay is not None:
+            yield self.env.timeout(delay)
+            governor.call_prescaled(self)
         value = yield from inner
-        yield from governor.call_end(self, op, nbytes)
+        delay = governor.call_end(self, op, nbytes)
+        if delay is not None:
+            yield self.env.timeout(delay)
+            governor.call_restored(self)
         return value
+
+    def _p2p(self, op, nbytes, comm, dst, tag, src, recv_tag):
+        """Blocking point-to-point call as one generator.
+
+        Sends ``nbytes`` to ``dst`` unless ``dst`` is None, receives from
+        ``src`` unless ``src`` is None, and waits for both requests; the
+        sequence of :meth:`_governed` around :meth:`isend`,
+        :meth:`irecv` and :meth:`_wait`, inlined so a call costs one
+        generator instead of ten.  Returns the receive's value, else the
+        send's.
+        """
+        env = self.env
+        job = self.job
+        governor = job.governor
+        if governor is not None:
+            delay = governor.call_begin(self, op, nbytes)
+            if delay is not None:
+                yield env.timeout(delay)
+                governor.call_prescaled(self)
+        spec = job.net.spec
+        engine = job.engine
+        if dst is not None:
+            if spec.o_send > 0:
+                yield env.timeout(self.core.cpu_time(spec.o_send))
+            request = engine.post_send(
+                self.rank, comm.world_rank(dst), nbytes, tag, comm
+            )
+        if src is not None:
+            if spec.o_recv > 0:
+                yield env.timeout(self.core.cpu_time(spec.o_recv))
+            rreq = engine.post_recv(
+                self.rank, src if src == ANY_SOURCE else comm.world_rank(src),
+                recv_tag, comm,
+            )
+            request = rreq if dst is None else env.all_of([request, rreq])
+        # The wait, as in _wait.
+        if governor is not None:
+            governor.wait_begin(self)
+        wait_start = env.now
+        if job.progress is ProgressMode.POLLING:
+            value = yield request
+        else:
+            value = yield from self._block_on(request)
+        penalty = self._wait_end(wait_start)
+        if penalty > 0.0:
+            yield env.timeout(penalty)
+            governor.wait_restored(self)
+        if governor is not None:
+            delay = governor.call_end(self, op, nbytes)
+            if delay is not None:
+                yield env.timeout(delay)
+                governor.call_restored(self)
+        return value if src is None or dst is None else rreq.value
 
     # -- point-to-point ---------------------------------------------------------
     def isend(
@@ -170,27 +242,16 @@ class RankContext:
     def send(self, dst, nbytes, tag=0, comm=None):
         """Blocking send: returns when the message engine releases the sender
         (immediately for eager, at transfer completion for rendezvous)."""
-
-        def inner():
-            req = yield from self.isend(dst, nbytes, tag, comm)
-            value = yield from self._wait(req)
-            return value
-
-        return (yield from self._governed("send", nbytes, inner()))
+        return self._p2p("send", nbytes, comm or self.world, dst, tag, None, None)
 
     def recv(self, src=ANY_SOURCE, tag=ANY_TAG, comm=None):
         """Blocking receive; returns (src_world, tag, nbytes)."""
-
-        def inner():
-            req = yield from self.irecv(src, tag, comm)
-            value = yield from self._wait(req)
-            return value
-
-        return (yield from self._governed("recv", 0, inner()))
+        return self._p2p("recv", 0, comm or self.world, None, None, src, tag)
 
     def waitall(self, requests):
         """Wait for every request in ``requests``; returns their values."""
-        yield from self._wait(self.env.all_of(list(requests)))
+        requests = list(requests)
+        yield from self._wait(self.env.all_of(requests))
         return [req.value for req in requests]
 
     def waitany(self, requests):
@@ -207,17 +268,10 @@ class RankContext:
 
     def sendrecv(self, dst, nbytes, src=None, tag=0, comm=None, recv_tag=None):
         """Simultaneous exchange (the workhorse of pairwise alltoall)."""
-        comm = comm or self.world
-        src = dst if src is None else src
-        recv_tag = tag if recv_tag is None else recv_tag
-
-        def inner():
-            sreq = yield from self.isend(dst, nbytes, tag, comm)
-            rreq = yield from self.irecv(src, recv_tag, comm)
-            yield from self._wait(self.env.all_of([sreq, rreq]))
-            return rreq.value
-
-        return (yield from self._governed("sendrecv", nbytes, inner()))
+        return self._p2p(
+            "sendrecv", nbytes, comm or self.world, dst, tag,
+            dst if src is None else src, tag if recv_tag is None else recv_tag,
+        )
 
     # -- computation ---------------------------------------------------------------
     def compute(self, seconds_at_peak: float):

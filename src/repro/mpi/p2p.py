@@ -13,6 +13,9 @@ Intra-node messages use the shared-memory channel in polling mode; in
 blocking mode they fall back to the HCA loopback (paper §II-B: blocking
 mode "falls back to the network loop-back based communication instead of
 using the shared-memory channels").
+
+A message in flight is not a simulation process: its protocol steps are
+event continuations chained through :class:`_Send` (see its docstring).
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from typing import Dict, List, Optional, Tuple
 from ..cluster.affinity import AffinityMap
 from ..network.ibnet import IBNetwork
 from ..sim import Environment, Event
+from ..sim.events import URGENT
 from .communicator import Communicator
 
 ANY_SOURCE = -1
@@ -37,9 +41,29 @@ class ProgressMode(enum.Enum):
 
 
 class _Send:
-    __slots__ = ("src", "dst", "tag", "comm_id", "nbytes", "posted_at", "done")
+    """One message: the matching record plus its in-flight protocol.
 
-    def __init__(self, src, dst, tag, comm_id, nbytes, posted_at, done):
+    Once a message is launched (:meth:`launch`: at post time for eager,
+    at the match for rendezvous) its steps run as event continuations,
+    each occupying the heap slot a process step would:
+
+    1. an URGENT start event at launch time — the governor may wake
+       dropped endpoints, and their transition delay is slept through a
+       timer;
+    2. the path is resolved and the wire latency (eager) or RTS/CTS
+       round trip (rendezvous) is a timer;
+    3. the fabric transfer's completion event runs :meth:`_delivered`.
+
+    Nothing waits for the message as a whole, so unlike a process it
+    has no finish event: three events of its own (four with a governor
+    wake), plus the two request events it triggers.
+    """
+
+    __slots__ = ("engine", "src", "dst", "tag", "comm_id", "nbytes",
+                 "posted_at", "done", "recv", "links", "cap")
+
+    def __init__(self, engine, src, dst, tag, comm_id, nbytes, posted_at, done):
+        self.engine = engine
         self.src = src
         self.dst = dst
         self.tag = tag
@@ -47,6 +71,70 @@ class _Send:
         self.nbytes = nbytes
         self.posted_at = posted_at
         self.done = done
+        #: The matched receive (rendezvous); None for an eager message,
+        #: which is matched on arrival.
+        self.recv: Optional["_Recv"] = None
+        self.links = None
+        self.cap = 0.0
+
+    def launch(self, recv: Optional["_Recv"]) -> None:
+        """Schedule the protocol's start (the eager delivery when
+        ``recv`` is None, else the rendezvous with ``recv``)."""
+        self.recv = recv
+        start = Event(self.engine.env)
+        start.callbacks.append(self._start)
+        start.succeed(priority=URGENT)
+
+    def _start(self, _event: Event) -> None:
+        engine = self.engine
+        governor = engine.governor
+        if governor is not None:
+            # Restore dropped endpoint cores before _path_params samples
+            # their feed rates; the transfer absorbs the transition.
+            affinity = engine.affinity
+            delay = governor.transfer_starting(
+                affinity.core_of(self.src), affinity.core_of(self.dst)
+            )
+            if delay > 0.0:
+                engine.env.call_after(delay, self._woken)
+                return
+        self._woken(None)
+
+    def _woken(self, _timer) -> None:
+        engine = self.engine
+        latency, self.links, self.cap = engine._path_params(self)
+        if self.recv is not None:
+            # RTS/CTS handshake round-trip before the bulk transfer.
+            latency *= engine.spec.rndv_rtt_factor
+        engine.env.call_after(latency, self._transfer)
+
+    def _transfer(self, _timer) -> None:
+        nbytes = self.nbytes
+        if self.recv is None:
+            if nbytes <= 0:
+                self._delivered(None)
+                return
+            label = f"e{self.src}->{self.dst}"
+        else:
+            label = f"r{self.src}->{self.dst}"
+        event = self.engine.net.fabric.transfer(
+            self.links, nbytes, cpu_cap=self.cap, label=label
+        )
+        event.callbacks.append(self._delivered)
+
+    def _delivered(self, _event) -> None:
+        engine = self.engine
+        recv = self.recv
+        if recv is not None:
+            self.done.succeed(engine.env.now)
+            engine._complete_recv(recv, self)
+            return
+        recv = engine._match_posted_recv(self)
+        if recv is not None:
+            engine._complete_recv(recv, self)
+        else:
+            key = (self.comm_id, self.dst)
+            engine._unexpected.setdefault(key, []).append(self)
 
 
 class _Recv:
@@ -104,18 +192,16 @@ class MessageEngine:
         if tag < 0:
             raise ValueError("send tag must be >= 0")
         done = self.env.event()
-        send = _Send(src, dst, tag, comm.comm_id, nbytes, self.env.now, done)
+        send = _Send(self, src, dst, tag, comm.comm_id, nbytes, self.env.now, done)
         self.messages_sent += 1
         if nbytes <= self.spec.eager_threshold:
             # Eager: sender completes immediately; payload travels now.
             done.succeed(self.env.now)
-            self.env.process(self._deliver_eager(send), name=f"eager{src}->{dst}")
+            send.launch(None)
         else:
             recv = self._match_posted_recv(send)
             if recv is not None:
-                self.env.process(
-                    self._rendezvous(send, recv), name=f"rndv{src}->{dst}"
-                )
+                send.launch(recv)
             else:
                 key = (send.comm_id, send.dst)
                 self._pending_rndv.setdefault(key, []).append(send)
@@ -129,24 +215,28 @@ class MessageEngine:
             raise ValueError(f"rank {dst} not in {comm.name}")
         if src != ANY_SOURCE and not comm.contains(src):
             raise ValueError(f"source {src} not in {comm.name}")
+        if tag < 0 and tag != ANY_TAG:
+            # Sends reject negative tags, so such a receive could never
+            # match: fail here, not as a deadlock at the end of the run.
+            raise ValueError(
+                f"receive tag {tag} is negative (only ANY_TAG={ANY_TAG} is)"
+            )
         done = self.env.event()
         recv = _Recv(src, dst, tag, comm.comm_id, self.env.now, done)
         key = (comm.comm_id, dst)
         # 1. Already-arrived eager message?
-        arrived = self._unexpected.get(key, [])
+        arrived = self._unexpected.get(key, ())
         for i, send in enumerate(arrived):
             if recv.matches(send.src, send.tag):
                 arrived.pop(i)
                 self._complete_recv(recv, send)
                 return done
         # 2. Waiting rendezvous sender?
-        rndv = self._pending_rndv.get(key, [])
+        rndv = self._pending_rndv.get(key, ())
         for i, send in enumerate(rndv):
             if recv.matches(send.src, send.tag):
                 rndv.pop(i)
-                self.env.process(
-                    self._rendezvous(send, recv), name=f"rndv{send.src}->{dst}"
-                )
+                send.launch(recv)
                 return done
         # 3. Park.
         self._posted_recvs.setdefault(key, []).append(recv)
@@ -155,7 +245,7 @@ class MessageEngine:
     # -- matching helpers ------------------------------------------------------
     def _match_posted_recv(self, send: _Send) -> Optional[_Recv]:
         key = (send.comm_id, send.dst)
-        posted = self._posted_recvs.get(key, [])
+        posted = self._posted_recvs.get(key, ())
         for i, recv in enumerate(posted):
             if recv.matches(send.src, send.tag):
                 return posted.pop(i)
@@ -197,44 +287,6 @@ class MessageEngine:
             links = self.net.inter_node_path(src_node, dst_node)
             cap = self.spec.cpu_feed_bw * pair_speed
         return latency, links, cap
-
-    def _wake_endpoints(self, send: _Send):
-        """Give the governor a chance to restore dropped endpoint cores
-        before ``_path_params`` samples their feed rates; yields the
-        transition time the transfer absorbs (usually none)."""
-        delay = self.governor.transfer_starting(
-            self.affinity.core_of(send.src), self.affinity.core_of(send.dst)
-        )
-        if delay > 0.0:
-            yield self.env.timeout(delay)
-
-    def _deliver_eager(self, send: _Send):
-        if self.governor is not None:
-            yield from self._wake_endpoints(send)
-        latency, links, cap = self._path_params(send)
-        yield self.env.timeout(latency)
-        if send.nbytes > 0:
-            yield self.net.fabric.transfer(
-                links, send.nbytes, cpu_cap=cap, label=f"e{send.src}->{send.dst}"
-            )
-        recv = self._match_posted_recv(send)
-        if recv is not None:
-            self._complete_recv(recv, send)
-        else:
-            key = (send.comm_id, send.dst)
-            self._unexpected.setdefault(key, []).append(send)
-
-    def _rendezvous(self, send: _Send, recv: _Recv):
-        if self.governor is not None:
-            yield from self._wake_endpoints(send)
-        latency, links, cap = self._path_params(send)
-        # RTS/CTS handshake round-trip before the bulk transfer.
-        yield self.env.timeout(latency * self.spec.rndv_rtt_factor)
-        yield self.net.fabric.transfer(
-            links, send.nbytes, cpu_cap=cap, label=f"r{send.src}->{send.dst}"
-        )
-        send.done.succeed(self.env.now)
-        self._complete_recv(recv, send)
 
     # -- introspection -------------------------------------------------------------
     def quiescent(self) -> bool:

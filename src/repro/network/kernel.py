@@ -42,7 +42,6 @@ settles partially-overlapping components request by request.
 from __future__ import annotations
 
 import math
-import os
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -316,34 +315,12 @@ class VectorFabric(FabricBase):
     #: water-filler on flow objects beats numpy dispatch overhead.  Both
     #: paths are bit-identical, so this is purely a performance knob
     #: (small components dominate governed/DVFS-heavy runs; profiled on
-    #: governed alltoall cells in DESIGN.md §13 — the default below sits
-    #: on the measured plateau).  Override per process with the
-    #: ``REPRO_SMALL_BATCH`` environment variable, or per fabric by
-    #: assigning the attribute.
-    SMALL_BATCH_DEFAULT = 64
-    SMALL_BATCH = SMALL_BATCH_DEFAULT
-
-    @staticmethod
-    def _small_batch_from_env() -> Optional[int]:
-        """The ``REPRO_SMALL_BATCH`` override, or None when unset."""
-        raw = os.environ.get("REPRO_SMALL_BATCH")
-        if raw is None:
-            return None
-        try:
-            value = int(raw)
-        except ValueError:
-            raise ValueError(
-                f"REPRO_SMALL_BATCH must be an integer, got {raw!r}"
-            ) from None
-        if value < 0:
-            raise ValueError("REPRO_SMALL_BATCH must be >= 0")
-        return value
+    #: governed alltoall cells in DESIGN.md §13 — the value sits on the
+    #: measured plateau).
+    SMALL_BATCH = 64
 
     def __init__(self, env: Environment, spec: NetworkSpec):
         super().__init__(env, spec)
-        env_threshold = self._small_batch_from_env()
-        if env_threshold is not None:
-            self.SMALL_BATCH = env_threshold  # instance-level override
         self._table = FlowTable()
         self._slot_flow: List[Optional[VectorFlow]] = [None] * self._table.capacity
         self._link_ids: Dict[Link, int] = {}

@@ -5,8 +5,9 @@ Converts the simulator's JSONL trace records (schema:
 tracing UI and https://ui.perfetto.dev load directly:
 
 * **rank tracks** (pid ``1``) — one thread per simulated process
-  (``rank0`` …), with a complete ("X") slice per resume→suspend
-  interval, named after the event the process parked on;
+  (``rank0`` …; messages in flight are event callbacks, not processes,
+  and appear only as flows), with a complete ("X") slice per
+  resume→suspend interval, named after the event the process parked on;
 * **flow tracks** (pid ``2``) — one complete slice per fabric transfer,
   built from ``flow.finish`` records (which carry start + duration; the
   1:1 seq pairing with ``flow.start`` is verified separately), packed

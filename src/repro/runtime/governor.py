@@ -268,9 +268,6 @@ class Governor:
                 for core in socket.cores:
                     self._cores[core.core_id] = _CoreFsm(core, socket)
 
-    def _fsm(self, ctx) -> _CoreFsm:
-        return self._cores[ctx.core.core_id]
-
     def _dvfs_s(self, core: "Core") -> float:
         """Odvfs for this actuation (jittered under an active fault plan)."""
         faults = self.session.faults if self.session is not None else None
@@ -284,12 +281,18 @@ class Governor:
                 else faults.throttle_latency_s(core))
 
     # -- call entry/exit ----------------------------------------------------
-    def call_begin(self, ctx, op: str, nbytes: int):
-        """Notification generator: a rank enters a top-level MPI call."""
-        st = self._fsm(ctx)
+    def call_begin(self, ctx, op: str, nbytes: int) -> Optional[float]:
+        """A rank enters a top-level MPI call.
+
+        Returns None, or the DVFS transition seconds of a predictive
+        pre-scale: the caller sleeps that long and then calls
+        :meth:`call_prescaled`, which flips the core to fmin — the same
+        two-step split as :meth:`wait_end` / :meth:`wait_restored`.
+        """
+        st = self._cores[ctx.core.core_id]
         st.depth += 1
         if st.depth > 1:
-            return
+            return None
         st.call_op = op
         st.call_nbytes = nbytes
         st.call_t0 = self.env.now
@@ -298,44 +301,56 @@ class Governor:
             self.config.policy is GovernorPolicy.PREDICTIVE
             and op in _PRESCALABLE_OPS
             and nbytes >= self.config.min_bytes
+            and self._predict_engage(ctx, op, nbytes)
         ):
-            if self._predict_engage(ctx, op, nbytes):
-                st.engaged = True
-                st.predropped = True
-                self.prescales += 1
-                spec = ctx.core.spec
-                latency = self._dvfs_s(ctx.core)
-                self.penalty_s += latency
-                yield self.env.timeout(latency)
-                ctx.core.set_frequency(spec.fmin, self.env.now)
-                self.net.dvfs_changed(ctx.core.node_id)
-        return
+            st.engaged = True
+            st.predropped = True
+            self.prescales += 1
+            latency = self._dvfs_s(ctx.core)
+            self.penalty_s += latency
+            return latency
+        return None
 
-    def call_end(self, ctx, op: str, nbytes: int):
-        """Notification generator: the matching call exit."""
-        st = self._fsm(ctx)
+    def call_prescaled(self, ctx) -> None:
+        """The pre-scale transition elapsed: the core runs at fmin."""
+        core = ctx.core
+        core.set_frequency(core.spec.fmin, self.env.now)
+        self.net.dvfs_changed(core.node_id)
+
+    def call_end(self, ctx, op: str, nbytes: int) -> Optional[float]:
+        """The matching call exit.
+
+        Returns None, or the transition seconds of restoring a pre-scaled
+        core: the caller sleeps that long and then calls
+        :meth:`call_restored`.
+        """
+        st = self._cores[ctx.core.core_id]
         st.depth -= 1
         if st.depth > 0:
-            return
+            return None
         duration = self.env.now - st.call_t0
         self.monitor.record_call(op, nbytes, duration)
         if self.config.policy is GovernorPolicy.PREDICTIVE:
             self._grade_prediction(ctx, st, op, duration)
         if st.predropped:
             st.predropped = False
-            spec = ctx.core.spec
             latency = self._dvfs_s(ctx.core)
             self.penalty_s += latency
-            yield self.env.timeout(latency)
-            ctx.core.set_frequency(spec.fmax, self.env.now)
-            self.net.dvfs_changed(ctx.core.node_id)
+            return latency
         st.engaged = False
-        return
+        return None
+
+    def call_restored(self, ctx) -> None:
+        """The restore transition elapsed: the core is back at fmax."""
+        core = ctx.core
+        core.set_frequency(core.spec.fmax, self.env.now)
+        self.net.dvfs_changed(core.node_id)
+        self._cores[core.core_id].engaged = False
 
     # -- wait entry/exit ----------------------------------------------------
     def wait_begin(self, ctx) -> None:
         """A rank starts blocking/polling inside ``RankContext._wait``."""
-        st = self._fsm(ctx)
+        st = self._cores[ctx.core.core_id]
         st.waiting = True
         st.wait_t0 = self.env.now
         policy = self.config.policy
@@ -357,7 +372,7 @@ class Governor:
         transition completes, exactly like the static schemes charge
         Odvfs/Othrottle.
         """
-        st = self._fsm(ctx)
+        st = self._cores[ctx.core.core_id]
         st.waiting = False
         wait_s = self.env.now - st.wait_t0
         self.monitor.record_wait(ctx.core.core_id, wait_s)
@@ -398,7 +413,7 @@ class Governor:
 
     def wait_restored(self, ctx) -> None:
         """Called after the restore penalty elapsed: flip the state back."""
-        st = self._fsm(ctx)
+        st = self._cores[ctx.core.core_id]
         self._finish_restore(st, unthrottle_socket=True)
 
     # -- message-engine hook ------------------------------------------------
@@ -433,7 +448,7 @@ class Governor:
     # -- internals ----------------------------------------------------------
     def _theta_fired(self, ctx) -> None:
         """θ of continuous wait elapsed: drop the core."""
-        st = self._fsm(ctx)
+        st = self._cores[ctx.core.core_id]
         st.timer = None
         if not st.waiting or st.dropped:  # pragma: no cover - defensive
             return

@@ -20,6 +20,7 @@ Example
 from __future__ import annotations
 
 import heapq
+from heapq import heappop
 from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
 
 from .events import (
@@ -107,9 +108,8 @@ class Environment:
         """
         queue = self._queue
         while queue:
-            event = queue[0][3]
-            if isinstance(event, Timer) and event.cancelled:
-                heapq.heappop(queue)
+            if queue[0][3]._cancelled:
+                heappop(queue)
                 if self._cancelled_pending > 0:
                     self._cancelled_pending -= 1
             else:
@@ -132,8 +132,7 @@ class Environment:
             and self._cancelled_pending >= len(self._queue) * self.COMPACT_FRACTION
         ):
             self._queue = [
-                entry for entry in self._queue
-                if not (isinstance(entry[3], Timer) and entry[3].cancelled)
+                entry for entry in self._queue if not entry[3]._cancelled
             ]
             heapq.heapify(self._queue)
             self._cancelled_pending = 0
@@ -177,12 +176,23 @@ class Environment:
         return Timer(self, 0.0, callback)
 
     def step(self) -> None:
-        """Process the single next event; raises :class:`EmptySchedule` if none."""
-        self._purge_cancelled()
-        try:
-            self._now, _, _, event = heapq.heappop(self._queue)
-        except IndexError:
-            raise EmptySchedule() from None
+        """Process the single next event; raises :class:`EmptySchedule` if none.
+
+        Cancelled timers met on the way are dropped exactly as
+        :meth:`_purge_cancelled` drops them: they neither advance the
+        clock nor count as processed events.
+        """
+        queue = self._queue
+        while True:
+            try:
+                now, _, _, event = heappop(queue)
+            except IndexError:
+                raise EmptySchedule() from None
+            if not event._cancelled:
+                break
+            if self._cancelled_pending > 0:
+                self._cancelled_pending -= 1
+        self._now = now
         self.events_processed += 1
         event._run_callbacks()
 

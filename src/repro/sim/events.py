@@ -56,6 +56,10 @@ class Event:
 
     __slots__ = ("env", "callbacks", "_value", "_ok", "_state", "_defused")
 
+    #: Only a :class:`Timer` can be cancelled (its slot shadows this
+    #: default), so the engine's pop loop tests any event with one read.
+    _cancelled = False
+
     def __init__(self, env: "Environment"):
         self.env = env
         self.callbacks: Optional[List[Callable[["Event"], None]]] = []
@@ -225,7 +229,7 @@ class Initialize(Event):
 
     def __init__(self, env: "Environment", process: "Process"):
         super().__init__(env)
-        self.callbacks = [process._resume]
+        self.callbacks = [process._resume_cb]
         self._ok = True
         self._state = _TRIGGERED
         env.schedule(self, priority=URGENT)
@@ -235,7 +239,7 @@ class Process(Event):
     """Wraps a generator; the process itself is an event that triggers when
     the generator returns (value = return value) or raises (failure)."""
 
-    __slots__ = ("_generator", "_target", "name")
+    __slots__ = ("_generator", "_target", "name", "_resume_cb")
 
     def __init__(
         self,
@@ -249,6 +253,9 @@ class Process(Event):
         self._generator = generator
         self._target: Optional[Event] = None
         self.name = name or getattr(generator, "__name__", "process")
+        #: ``self._resume`` bound once: a rank process parks on an event
+        #: at every step, and each park appends this callback.
+        self._resume_cb = self._resume
         Initialize(env, self)
 
     @property
@@ -285,7 +292,7 @@ class Process(Event):
             return
         if self._target is not None and self._target.callbacks is not None:
             try:
-                self._target.callbacks.remove(self._resume)
+                self._target.callbacks.remove(self._resume_cb)
             except ValueError:  # pragma: no cover - defensive
                 pass
         self._target = None
@@ -327,7 +334,7 @@ class Process(Event):
             )
         if next_target.callbacks is not None:
             # Target not yet processed: park until it fires.
-            next_target.callbacks.append(self._resume)
+            next_target.callbacks.append(self._resume_cb)
             self._target = next_target
             if tracer.enabled:
                 tracer.process_suspend(
@@ -341,7 +348,7 @@ class Process(Event):
             relay._value = next_target._value
             relay._defused = True
             relay._state = _TRIGGERED
-            relay.callbacks = [self._resume]
+            relay.callbacks = [self._resume_cb]
             env.schedule(relay, priority=URGENT)
             self._target = relay
 
@@ -385,28 +392,31 @@ class ConditionValue:
 class Condition(Event):
     """Composite event over a set of sub-events.
 
-    ``evaluate`` decides when the condition holds: :func:`all_events` for
-    AllOf semantics, :func:`any_events` for AnyOf.  A failing sub-event fails
-    the whole condition immediately.
+    The condition holds once ``needed`` sub-events have fired (``None``
+    means all of them): ``len(events)`` gives AllOf semantics, 1 gives
+    AnyOf.  A failing sub-event fails the whole condition immediately.
+    Each sub-event's firing costs one counter bump and one comparison.
     """
 
-    __slots__ = ("_evaluate", "_events", "_count")
+    __slots__ = ("_events", "_count", "_needed")
 
     def __init__(
         self,
         env: "Environment",
-        evaluate: Callable[[List[Event], int], bool],
         events: Iterable[Event],
+        needed: Optional[int] = None,
     ):
         super().__init__(env)
-        self._evaluate = evaluate
         self._events = list(events)
         self._count = 0
+        total = len(self._events)
+        self._needed = total if needed is None else min(needed, total)
         for event in self._events:
             if event.env is not env:
                 raise ValueError("all events of a condition must share an environment")
-        if self._evaluate(self._events, self._count):
-            self.succeed(ConditionValue(self._processed_events()))
+        if self._needed == 0:
+            # Vacuously true (an empty set, mirroring SimPy).
+            self.succeed(ConditionValue(self._fired()))
             return
         for event in self._events:
             if event.callbacks is None:
@@ -416,8 +426,12 @@ class Condition(Event):
             else:
                 event.callbacks.append(self._check)
 
-    def _processed_events(self) -> List[Event]:
-        return [e for e in self._events if e._state == _PROCESSED or e.callbacks is None]
+    def _fired(self) -> List[Event]:
+        """The sub-events processed so far, in list order."""
+        if self._count >= len(self._events):
+            # Every sub-event's check ran, so all of them are processed.
+            return self._events
+        return [e for e in self._events if e.callbacks is None]
 
     def _check(self, event: Event) -> None:
         if self._state != _PENDING:
@@ -426,20 +440,8 @@ class Condition(Event):
         if not event._ok:
             event._defused = True
             self.fail(event._value, priority=URGENT)
-        elif self._evaluate(self._events, self._count):
-            triggered = [e for e in self._events if e.triggered and e.callbacks is None]
-            self.succeed(ConditionValue(triggered), priority=URGENT)
-
-
-def all_events(events: List[Event], count: int) -> bool:
-    """AllOf predicate: every sub-event has fired."""
-    return len(events) == count
-
-
-def any_events(events: List[Event], count: int) -> bool:
-    """AnyOf predicate: at least one sub-event has fired (vacuously true for
-    an empty set, mirroring SimPy)."""
-    return count > 0 or len(events) == 0
+        elif self._count >= self._needed:
+            self.succeed(ConditionValue(self._fired()), priority=URGENT)
 
 
 class AllOf(Condition):
@@ -448,7 +450,7 @@ class AllOf(Condition):
     __slots__ = ()
 
     def __init__(self, env: "Environment", events: Iterable[Event]):
-        super().__init__(env, all_events, events)
+        super().__init__(env, events)
 
 
 class AnyOf(Condition):
@@ -457,4 +459,4 @@ class AnyOf(Condition):
     __slots__ = ()
 
     def __init__(self, env: "Environment", events: Iterable[Event]):
-        super().__init__(env, any_events, events)
+        super().__init__(env, events, needed=1)

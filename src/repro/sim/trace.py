@@ -12,7 +12,10 @@ Event types (the ``type`` field of every record)
 ``process.resume``   a process coroutine was resumed
                      (``process``: name)
 ``process.suspend``  a process parked on an event
-                     (``process``, ``target``: class name of the event)
+                     (``process``, ``target``: class name of the event).
+                     In MPI jobs only rank programs are processes: a
+                     message in flight is a chain of event callbacks
+                     and appears as its ``flow.*`` records instead
 ``core.activity``    a core's activity changed
                      (``core``, ``node``, ``old``, ``new``)
 ``core.frequency``   a DVFS (P-state) transition

@@ -4,6 +4,7 @@ import pytest
 
 from repro.mpi import ANY_SOURCE, ANY_TAG, MpiJob, ProgressMode
 from repro.network import NetworkSpec
+from repro.sim import RecordingTracer, SimSession
 
 IDEAL_NET = NetworkSpec(flow_congestion=0.0)
 
@@ -202,6 +203,85 @@ def test_negative_send_tag_rejected():
 
     with pytest.raises(ValueError):
         job.run(program)
+
+
+def test_negative_recv_tag_rejected_when_posted():
+    """Sends reject negative tags, so a receive with one could never
+    match: it must fail at post time, naming the tag, instead of running
+    the job to the end and dying as an unmatched message."""
+    job = make_job()
+
+    def program(ctx):
+        if ctx.rank == 0:
+            yield from ctx.compute(1e-3)
+        elif ctx.rank == 1:
+            yield from ctx.recv(src=0, tag=-2)
+
+    with pytest.raises(ValueError, match="receive tag -2"):
+        job.run(program)
+    assert job.env.now < 1e-3  # raised at the post, not at the job's end
+
+
+def test_any_tag_receive_still_posts():
+    job = make_job()
+    event = job.engine.post_recv(1, 0, ANY_TAG, job.layout.world)
+    job.engine.post_send(0, 1, 8, 3, job.layout.world)
+    job.env.run()
+    assert event.value == (0, 3, 8)
+
+
+def test_waitall_accepts_one_shot_iterable():
+    """waitall must materialise a generator of requests once: iterating
+    it a second time for the values would see nothing."""
+    job = make_job(8)
+    got = {}
+
+    def program(ctx):
+        if ctx.rank == 0:
+            reqs = []
+            for dst in range(1, ctx.size):
+                req = yield from ctx.isend(dst=dst, nbytes=64, tag=dst)
+                reqs.append(req)
+            got["values"] = yield from ctx.waitall(r for r in reqs)
+        else:
+            yield from ctx.recv(src=0, tag=ctx.rank)
+
+    job.run(program)
+    assert len(got["values"]) == 7
+
+
+def _ring_exchange(n_ranks, tracer=None):
+    """Zero-byte ring sendrecv among the first ``n_ranks`` of 16 ranks."""
+    job = MpiJob(16, session=SimSession(network_spec=IDEAL_NET, tracer=tracer))
+
+    def program(ctx):
+        if ctx.rank < n_ranks:
+            yield from ctx.sendrecv(
+                dst=(ctx.rank + 1) % n_ranks, src=(ctx.rank - 1) % n_ranks,
+                nbytes=0,
+            )
+
+    job.run(program)
+    return job
+
+
+def test_messages_are_not_processes():
+    """Only rank programs are simulation processes; a message in flight
+    is a chain of event callbacks."""
+    tracer = RecordingTracer()
+    _ring_exchange(4, tracer)
+    names = {r.data["process"] for r in tracer.of_type("process.resume")}
+    assert names == {f"rank{r}" for r in range(16)}
+
+
+def test_event_budget_per_message():
+    """A zero-byte eager exchange costs 7 events per message: the start,
+    the wire latency and the two request events on the message path,
+    plus the two CPU-overhead timeouts and the two-request join on the
+    rank.  A message has no finish event of its own."""
+    two = _ring_exchange(2).env.events_processed
+    four = _ring_exchange(4).env.events_processed
+    assert four - two == 2 * 7
 
 
 def test_blocking_mode_slower_but_core_sleeps():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Environment
+from repro.sim import Condition, Environment
 
 
 def test_all_of_waits_for_slowest():
@@ -140,3 +140,40 @@ def test_nested_conditions():
     env.process(proc(env))
     env.run()
     assert out == [3.0]
+
+
+def test_condition_k_of_n():
+    """``needed`` sets how many sub-events must fire; the value lists
+    the processed ones in list order."""
+    env = Environment()
+    out = []
+
+    def proc(env):
+        t1 = env.timeout(3.0, value="c")
+        t2 = env.timeout(1.0, value="a")
+        t3 = env.timeout(2.0, value="b")
+        result = yield Condition(env, [t1, t2, t3], needed=2)
+        out.append((env.now, list(result), result.todict()))
+
+    env.process(proc(env))
+    env.run()
+    (now, fired, values), = out
+    assert now == 2.0
+    assert len(fired) == 2 and values == dict(zip(fired, ["a", "b"]))
+
+
+def test_all_of_value_is_every_event_even_with_duplicates():
+    env = Environment()
+    out = []
+
+    def proc(env):
+        t1 = env.timeout(1.0, value="x")
+        t2 = env.timeout(2.0, value="y")
+        result = yield env.all_of([t1, t1, t2])
+        out.append((env.now, list(result)))
+
+    env.process(proc(env))
+    env.run()
+    (now, fired), = out
+    assert now == 2.0
+    assert len(fired) == 3
