@@ -1,7 +1,11 @@
 """Kernel scaling: incremental re-rating, vectorized kernel, timer churn.
 
 Three studies of the simulator itself (no committed wall-clock baseline —
-machine-dependent; the asserted properties are orderings and exactness):
+machine-dependent; the asserted properties are orderings and exactness).
+The scalar reference kernel is ``ScalarFabric`` from
+``tests/oracles/scalar_fabric.py``, so run from the repository root
+(``python -m pytest benchmarks/bench_kernel_scaling.py``, or standalone
+with ``PYTHONPATH=src:.``):
 
 * **Incremental vs full re-rating** (scalar kernel): a 64-node / 512-rank
   XOR-schedule alltoall keeps ~512 flows in flight.  Whole-fabric
@@ -11,7 +15,7 @@ machine-dependent; the asserted properties are orderings and exactness):
   horizon — identical bytes delivered — so the wall-clock gap is pure
   kernel overhead.
 * **Vectorized vs scalar kernel**: the same alltoall run to *completion*
-  under both fabric kernels (``NetworkSpec(vectorized=...)``), serialized
+  under the production ``Fabric`` and the ``ScalarFabric`` oracle, serialized
   (one message per rank in flight) and windowed (4 outstanding rounds per
   rank — how real MPI alltoalls post, and the contended regime the paper
   studies).  The kernels must agree byte-for-byte; the windowed speedup
@@ -28,6 +32,7 @@ from repro.bench.report import format_table
 from repro.network import NetworkSpec
 from repro.network.fabric import Fabric
 from repro.sim import Environment
+from tests.oracles.scalar_fabric import ScalarFabric
 
 NODES = 64
 RANKS_PER_NODE = 8
@@ -49,13 +54,11 @@ def _build(incremental: bool):
     """Fresh env + fabric + the full alltoall schedule (not yet run).
 
     Pinned to the scalar kernel: incremental-vs-full re-rating is a
-    property of the scalar object-graph re-rater (the vector kernel
+    property of the scalar object-graph re-rater (the production kernel
     batches whole admission waves instead).
     """
     env = Environment()
-    fabric = Fabric(
-        env, NetworkSpec(incremental_rerate=incremental, vectorized=False)
-    )
+    fabric = ScalarFabric(env, NetworkSpec(), full_recompute=not incremental)
     up = [fabric.add_link(f"up:{n}", NIC_BW) for n in range(NODES)]
     dn = [fabric.add_link(f"dn:{n}", NIC_BW) for n in range(NODES)]
 
@@ -137,9 +140,9 @@ def run_kernel_scaling():
 
 def _build_alltoall(vectorized: bool, window: int):
     """The same 64x512 XOR alltoall with ``window`` outstanding rounds
-    per rank, under the chosen fabric kernel."""
+    per rank, under the production kernel or the scalar oracle."""
     env = Environment()
-    fabric = Fabric(env, NetworkSpec(vectorized=vectorized))
+    fabric = (Fabric if vectorized else ScalarFabric)(env, NetworkSpec())
     up = [fabric.add_link(f"up:{n}", NIC_BW) for n in range(NODES)]
     dn = [fabric.add_link(f"dn:{n}", NIC_BW) for n in range(NODES)]
 

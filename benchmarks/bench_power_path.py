@@ -12,13 +12,15 @@ that captures the core state-mutation stream (the 1:1 image of what the
 accountant listener sees).  The stream is then replayed into two fresh
 accountants:
 
-* **columnar** — ``EnergyAccountant(columnar=True)`` (SegmentStore +
-  memoized ``PowerModel(cached=True)`` + vectorized
-  ``PowerMeter.from_segments``), the default production path;
-* **object** — ``EnergyAccountant(columnar=False)`` with
-  ``PowerModel(cached=False)`` and the scalar
-  ``PowerMeter.from_segments_reference`` — the pre-optimization path,
-  kept as the differential oracle.
+* **columnar** — ``EnergyAccountant`` (SegmentStore + memoized
+  ``PowerModel`` + vectorized ``PowerMeter.from_segments``), the
+  production path;
+* **object** — ``ObjectAccountant`` (uncached power per state change, a
+  ``PowerSegment`` list) and the loop meter ``meter_reference``, both
+  from ``tests/oracles/energy.py`` — the pre-optimization path, kept as
+  the differential oracle.  Run from the repository root
+  (``python -m pytest benchmarks/bench_power_path.py``, or standalone
+  with ``PYTHONPATH=src:.``).
 
 Both replays must produce *byte-identical* per-core energies, totals and
 meter traces (and match the live capture run), and the columnar path must
@@ -47,6 +49,7 @@ from repro.power.model import PowerModel
 from repro.runtime.governor import Governor, GovernorConfig, GovernorPolicy
 from repro.sim.session import SimSession
 from repro.sim.trace import Tracer
+from tests.oracles.energy import ObjectAccountant, meter_reference
 
 NODES = 64
 RANKS = 512  # 64 nodes x 2 sockets x 4 cores
@@ -139,7 +142,7 @@ def replay(records, end_time, columnar):
     """Feed the mutation stream into a fresh accountant of either mode,
     finalize, and meter-sample — the full power path, nothing else."""
     cluster = Cluster(ClusterSpec.with_shape(NODES))
-    model = PowerModel(cached=columnar)  # oracle keeps the uncached model
+    model = PowerModel()  # the oracle evaluates uncached regardless
     meter = PowerMeter(METER_INTERVAL_S)
     # Resolve core handles outside the timed region: the replay measures
     # the power path (listener + finalize + meter), not list indexing.
@@ -155,7 +158,9 @@ def replay(records, end_time, columnar):
     gc.disable()
     try:
         wall_start = time.perf_counter()
-        acct = EnergyAccountant(cluster, model, columnar=columnar)
+        acct = (EnergyAccountant if columnar else ObjectAccountant)(
+            cluster, model
+        )
         on_change = acct._on_change
         for t, core, field, value in resolved:
             on_change(core, t)
@@ -169,8 +174,8 @@ def replay(records, end_time, columnar):
         if columnar:
             trace = meter.sample(acct)
         else:
-            trace = meter.from_segments_reference(
-                acct.segments, acct.start_time, end_time,
+            trace = meter_reference(
+                meter, acct.segments, acct.start_time, end_time,
                 base_w=model.params.node_base_w * cluster.n_nodes,
             )
         wall = time.perf_counter() - wall_start

@@ -102,7 +102,6 @@ class MpiJob:
         progress: ProgressMode = ProgressMode.POLLING,
         collectives: Optional["CollectiveEngine"] = None,  # noqa: F821
         keep_segments: bool = True,
-        columnar: bool = True,
         session: Optional[SimSession] = None,
         governor: Optional["Governor"] = None,  # noqa: F821
         faults: Optional["FaultPlan"] = None,  # noqa: F821
@@ -118,7 +117,6 @@ class MpiJob:
                 network_spec=network_spec,
                 power_params=power_params,
                 keep_segments=keep_segments,
-                columnar=columnar,
                 governor=governor,
                 faults=faults,
                 arbiter=arbiter,
@@ -236,6 +234,9 @@ class MpiJob:
         self._wall_start = time.perf_counter()
         self._events_before = self.env.events_processed
         self._finish_times = [0.0] * self.n_ranks
+        # Completion is tracked apart from the finish time: finishing at
+        # t = 0 is legal, and a stuck rank must not pass for one.
+        self._finished = [False] * self.n_ranks
         self._returns: List[Any] = [None] * self.n_ranks
         arbiter = self.arbiter
 
@@ -244,6 +245,7 @@ class MpiJob:
             value = yield from program(ctx, *args, **kwargs)
             ctx.core.set_activity(Activity.IDLE, self.env.now)
             self._finish_times[ctx.rank] = self.env.now
+            self._finished[ctx.rank] = True
             self._returns[ctx.rank] = value
             if arbiter is not None:
                 arbiter.rank_finished()
@@ -274,6 +276,15 @@ class MpiJob:
         if not self.engine.quiescent():
             raise RuntimeError(
                 "job finished with unmatched messages (deadlock or missing recv)"
+            )
+        unfinished = [r for r, done in enumerate(self._finished) if not done]
+        if unfinished:
+            shown = ", ".join(map(str, unfinished[:16]))
+            more = f" (+{len(unfinished) - 16} more)" if len(unfinished) > 16 else ""
+            raise RuntimeError(
+                f"job ended with {len(unfinished)} of {self.n_ranks} ranks "
+                f"unfinished: ranks {shown}{more} never returned (a wait on "
+                "an event that never fires?)"
             )
         end = max(self._finish_times) if self._finish_times else self.env.now
         self.stats.wall_time_s = time.perf_counter() - self._wall_start

@@ -1,6 +1,6 @@
 """InfiniBand network model: links, flows, max-min sharing, QDR parameters."""
 
-from .fabric import Fabric, Flow, Link, ScalarFabric, maxmin_rates, vector_kernel_available
+from .fabric import Fabric, Flow, Link, maxmin_rates
 from .ibnet import IBNetwork
 from .params import NetworkSpec
 
@@ -10,7 +10,5 @@ __all__ = [
     "IBNetwork",
     "Link",
     "NetworkSpec",
-    "ScalarFabric",
     "maxmin_rates",
-    "vector_kernel_available",
 ]

@@ -13,32 +13,38 @@ water-filling only over the affected **connected component** — the flows
 transitively sharing links with a changed link.  Components share no
 links, so their allocations are independent and the untouched ones keep
 their rates (this is exact, not an approximation).  Byte progress is
-settled lazily per flow (each flow remembers when its rate last changed).
-Set ``NetworkSpec(incremental_rerate=False)`` to force the historical
-whole-fabric recompute (the baseline
-``benchmarks/bench_kernel_scaling.py`` measures against).
+settled lazily per flow.
 
-Two interchangeable kernels implement this contract (DESIGN.md §12):
+:class:`Fabric` keeps the mutable flow state in slot-addressed numpy
+arrays (:class:`FlowTable`) and turns each hot operation into whole-array
+expressions (DESIGN.md §12):
 
-* :class:`ScalarFabric` — the reference object-graph implementation:
-  per-flow completion predictions on a min-heap guarded by per-flow
-  epochs, one re-rate per fabric event.
-* ``repro.network.kernel.VectorFabric`` — the numpy implementation:
-  flow state lives in slot-addressed arrays, same-timestamp admissions
-  are batched into one deferred water-filling flush, and the single
-  wake-up timer is armed from an ``argmin`` over a persistent
-  finish-time vector instead of per-flow heap pushes.
+* **Admission batching** — ``transfer()`` only appends the flow to a
+  pending wave and arms a zero-delay flush via ``env.defer``; the flush
+  rates every same-timestamp admission at once.  Water-filling is
+  memoryless (rates depend only on the current population), so one
+  re-rate per touched component, taken once the whole wave is admitted,
+  gives exactly the rates a re-rate after every single admission would
+  end on.
+* **Two fillers, one answer** — waves of at most
+  :attr:`Fabric.SMALL_BATCH` flows run the scalar :func:`maxmin_rates`
+  on the flow objects; larger waves run :func:`waterfill`, whole rounds
+  of the share/freeze loop as array ops over a links×flows incidence
+  relation in COO form.  Both fold floating-point sums in one canonical
+  order (components in admission order, each link's frozen demand summed
+  then subtracted once per round), so they agree bit for bit.
+* **Batched completions** — predicted finish times live in one persistent
+  vector; the single wake-up timer is armed from its ``min()`` and due
+  flows are selected with one comparison, then processed in
+  ``(finish, seq)`` order.
 
-``Fabric(env, spec)`` is a factory returning the vector kernel when
-``spec.vectorized`` is true and numpy is importable, else the scalar
-kernel.  Both produce identical per-flow rates and completion times —
-the scalar path is kept as the differential-testing oracle
-(``tests/network/test_fabric_vectorized.py``).  To make that equality
-exact (not approximate), every floating-point fold both kernels share is
-performed in one canonical order: components are walked in flow-admission
-(``seq``) order, water-filling subtracts each link's frozen demand as a
-single summed delta, and due completions are processed in
-``(finish, seq)`` order.
+The reference kernel — per-flow objects, a completion heap, one re-rate
+per fabric event — lives in ``tests/oracles/scalar_fabric.py``; the
+differential tests hold this kernel to it with bit-identical per-flow
+completion times.  Aggregate byte counters (``bytes_delivered``,
+``link_bytes``) can differ from it at the last ulp in rare
+same-timestamp component-bridging interleavings, where the reference
+settles partially-overlapping components request by request.
 
 This is where the paper's contention parameter ``Cnet`` comes from in our
 reproduction: it is *emergent* — eight ranks per node draining through one
@@ -47,10 +53,11 @@ QDR HCA simply share 3 GB/s — rather than a fitted constant.
 
 from __future__ import annotations
 
-import heapq
 import math
 import operator
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..sim import Environment, Event
 from ..sim.events import Timer
@@ -121,51 +128,6 @@ class Link:
         return f"<Link {self.name} {self.capacity / 1e9:.2f} GB/s>"
 
 
-class Flow:
-    """One in-flight bulk transfer (scalar-kernel state layout)."""
-
-    __slots__ = (
-        "links",
-        "nbytes",
-        "remaining",
-        "rate",
-        "cap",
-        "event",
-        "label",
-        "seq",
-        "started_at",
-        "updated_at",
-        "_epoch",
-    )
-
-    def __init__(
-        self,
-        links: Tuple[Link, ...],
-        nbytes: float,
-        cap: float,
-        event: Event,
-        label: str = "",
-    ):
-        self.links = links
-        self.nbytes = float(nbytes)
-        self.remaining = float(nbytes)
-        self.rate = 0.0
-        self.cap = cap
-        self.event = event
-        self.label = label
-        #: Fabric-assigned admission number (deterministic tie-break).
-        self.seq = -1
-        self.started_at = 0.0
-        #: Simulation time up to which ``remaining`` has been settled.
-        self.updated_at = 0.0
-        #: Bumped on every rate change; stale finish-time predictions in
-        #: the completion heap carry an older epoch and are skipped.
-        self._epoch = 0
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Flow {self.label} rem={self.remaining:.0f}B rate={self.rate / 1e9:.2f}GB/s>"
-
-
 def maxmin_rates(
     flows: Sequence[Flow],
     capacities: Dict[Link, float],
@@ -174,7 +136,8 @@ def maxmin_rates(
 ) -> Dict[Flow, float]:
     """Max-min fair allocation with per-flow caps (water-filling).
 
-    Repeatedly finds the most constrained resource — either a link whose
+    ``flows`` are any objects with ``links`` and ``cap`` attributes; the
+    result maps each to its rate.  Repeatedly finds the most constrained resource — either a link whose
     fair share is smallest or a flow whose cap binds first — freezes the
     affected flows at that rate, removes their demand, and iterates.
     The per-link membership index and the cap-sorted cursor are maintained
@@ -188,8 +151,8 @@ def maxmin_rates(
     Floating-point folds are canonical (see module docstring): the flows
     frozen in a round are processed in their position order within
     ``flows``, and each link's residual is reduced once per round by the
-    summed demand of that round's frozen flows — bit-for-bit what the
-    vector kernel's ``np.add.at`` accumulation computes.
+    summed demand of that round's frozen flows — bit-for-bit what
+    :func:`waterfill`'s ``np.add.at`` accumulation computes.
     """
     rates: Dict[Flow, float] = {}
     if not flows:
@@ -262,19 +225,227 @@ def maxmin_rates(
     return rates
 
 
-class FabricBase:
-    """State and bookkeeping shared by the scalar and vector kernels:
-    link registry, the active-flow set, the link → flows index, per-link
-    admission counters, and the zero-rated (stalled) flow set."""
+def waterfill(
+    n_links: int,
+    caps: np.ndarray,
+    flow_cap: np.ndarray,
+    seg: np.ndarray,
+    n_segs: int,
+    rep_flow: np.ndarray,
+    rep_link: np.ndarray,
+    congestion: float = 0.0,
+    congestion_saturation: int = 7,
+) -> np.ndarray:
+    """Segmented max-min water-filling as whole-round array ops.
+
+    Solves ``n_segs`` *disjoint* allocation problems (connected
+    components) in one call.  Flows are rows of the concatenated batch;
+    ``seg[i]`` names flow ``i``'s component, and the links×flows
+    incidence is given in COO form: entry ``k`` says flow ``rep_flow[k]``
+    crosses link ``rep_link[k]`` (global link ids ``< n_links``).  The
+    ``caps`` array is indexed by global link id; only entries for links
+    that actually appear in ``rep_link`` are read.
+
+    Per-segment water levels (``np.minimum.at`` over the link shares)
+    keep the segments numerically independent — solving components
+    jointly is bit-identical to solving each alone, which is what makes
+    batching admission waves safe.  Freeze order and residual updates
+    replicate the canonical folds of :func:`maxmin_rates`: ``np.add.at``
+    accumulates each link's frozen demand over COO entries in flow-major
+    (admission) order, then the residual is reduced by that sum once.
+    """
+    n = flow_cap.shape[0]
+    load = np.bincount(rep_link, minlength=n_links)
+    member = load > 0
+    with np.errstate(invalid="ignore", divide="ignore"):
+        if congestion > 0.0:
+            penalty = 1.0 + congestion * np.minimum(load - 1, congestion_saturation)
+            residual = np.where(member, caps / penalty, np.inf)
+        else:
+            residual = np.where(member, caps, np.inf)
+    link_seg = np.zeros(n_links, dtype=np.int64)
+    link_seg[rep_link] = seg[rep_flow]
+
+    rates = np.zeros(n)
+    alive = np.ones(n, dtype=bool)
+    while alive.any():
+        alive_rep = alive[rep_flow]
+        counts = np.bincount(rep_link[alive_rep], minlength=n_links)
+        has = counts > 0
+        shares = np.full(n_links, np.inf)
+        np.divide(residual, counts, out=shares, where=has)
+        seg_share = np.full(n_segs, np.inf)
+        np.minimum.at(seg_share, link_seg[has], shares[has])
+        seg_cap = np.full(n_segs, np.inf)
+        np.minimum.at(seg_cap, seg[alive], flow_cap[alive])
+        cap_binds = seg_cap < seg_share
+        seg_level = np.where(cap_binds, seg_cap, seg_share)
+        lvl_flow = seg_level[seg]
+        capb_flow = cap_binds[seg]
+        # Tight links at this round's level (only for share-bound segments).
+        lk_level = seg_level[link_seg]
+        limit = np.maximum(lk_level * (1.0 + _TIGHT_REL), lk_level + _TIGHT_ABS)
+        tight = has & ~cap_binds[link_seg] & (shares <= limit)
+        on_tight = np.zeros(n, dtype=bool)
+        sel = alive_rep & tight[rep_link]
+        on_tight[rep_flow[sel]] = True
+        freeze = alive & (
+            (capb_flow & (flow_cap <= lvl_flow)) | (~capb_flow & on_tight)
+        )
+        if not freeze.any():  # pragma: no cover - every live segment freezes
+            break
+        rates = np.where(freeze, np.minimum(lvl_flow, flow_cap), rates)
+        freeze_rep = freeze[rep_flow]
+        delta = np.zeros(n_links)
+        np.add.at(delta, rep_link[freeze_rep], rates[rep_flow[freeze_rep]])
+        residual = np.maximum(0.0, residual - delta)
+        alive &= ~freeze
+    return rates
+
+
+class Flow:
+    """Handle of one in-flight bulk transfer.
+
+    Identity and immutable metadata live on the object; mutable state
+    (remaining bytes, rate, settle time) lives in the owning fabric's
+    :class:`FlowTable` row addressed by ``idx`` (−1 once complete).  The
+    properties read that row for observability code and tests.
+    """
+
+    __slots__ = (
+        "links",
+        "link_ids",
+        "nbytes",
+        "cap",
+        "event",
+        "label",
+        "seq",
+        "started_at",
+        "idx",
+        "_table",
+    )
+
+    def __init__(
+        self,
+        links: Tuple[Link, ...],
+        link_ids: Tuple[int, ...],
+        nbytes: float,
+        cap: float,
+        event: Event,
+        label: str,
+        seq: int,
+        started_at: float,
+        idx: int,
+        table: "FlowTable",
+    ):
+        self.links = links
+        self.link_ids = link_ids
+        self.nbytes = nbytes
+        self.cap = cap
+        self.event = event
+        self.label = label
+        #: Fabric-assigned admission number (deterministic tie-break).
+        self.seq = seq
+        self.started_at = started_at
+        self.idx = idx
+        self._table = table
+
+    @property
+    def remaining(self) -> float:
+        return float(self._table.remaining[self.idx]) if self.idx >= 0 else 0.0
+
+    @property
+    def rate(self) -> float:
+        return float(self._table.rate[self.idx]) if self.idx >= 0 else 0.0
+
+    @property
+    def updated_at(self) -> float:
+        """Simulation time up to which ``remaining`` has been settled."""
+        if self.idx >= 0:
+            return float(self._table.updated[self.idx])
+        return self.started_at
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (
+            f"<Flow {self.label} rem={self.remaining:.0f}B "
+            f"rate={self.rate / 1e9:.2f}GB/s>"
+        )
+
+
+class FlowTable:
+    """Slot-addressed structure-of-arrays holding all mutable flow state.
+
+    Slots are recycled through a free list; a freed slot keeps
+    ``finish = inf`` and ``rate = remaining = 0`` so whole-array scans
+    (due-completion selection, timer arming) never see garbage.
+    """
+
+    __slots__ = (
+        "capacity",
+        "remaining",
+        "rate",
+        "cap",
+        "updated",
+        "finish",
+        "seq",
+        "_free",
+    )
+
+    def __init__(self, capacity: int = 64):
+        self.capacity = capacity
+        self.remaining = np.zeros(capacity)
+        self.rate = np.zeros(capacity)
+        self.cap = np.zeros(capacity)
+        self.updated = np.zeros(capacity)
+        self.finish = np.full(capacity, np.inf)
+        self.seq = np.zeros(capacity, dtype=np.int64)
+        self._free: List[int] = list(range(capacity - 1, -1, -1))
+
+    def alloc(self) -> int:
+        if not self._free:
+            self._grow()
+        return self._free.pop()
+
+    def _grow(self) -> None:
+        old = self.capacity
+        new = old * 2
+        for name in ("remaining", "rate", "cap", "updated", "seq"):
+            arr = getattr(self, name)
+            grown = np.zeros(new, dtype=arr.dtype)
+            grown[:old] = arr
+            setattr(self, name, grown)
+        finish = np.full(new, np.inf)
+        finish[:old] = self.finish
+        self.finish = finish
+        self._free.extend(range(new - 1, old - 1, -1))
+        self.capacity = new
+
+
+class Fabric:
+    """The flow-level fabric: link registry, batched admissions,
+    component-local re-rating and vector completions.
+
+    See the module docstring for the batching contract.  ``rerate_calls``
+    counts water-filling *groups*: an admission wave is one group however
+    many flows it admitted.
+    """
+
+    #: At or below this many flows per re-rate, the canonical scalar
+    #: water-filler on flow objects beats numpy dispatch overhead.  Both
+    #: paths are bit-identical, so this is purely a performance constant
+    #: (small components dominate governed/DVFS-heavy runs; profiled on
+    #: governed alltoall cells in DESIGN.md §13 — the value sits on the
+    #: measured plateau).
+    SMALL_BATCH = 64
 
     def __init__(self, env: Environment, spec: NetworkSpec):
         self.env = env
         self.spec = spec
         self._links: Dict[str, Link] = {}
         #: Active flows in admission order (ordered set).
-        self._flows: Dict[object, None] = {}
+        self._flows: Dict[Flow, None] = {}
         #: link → active flows crossing it (ordered set per link).
-        self._flows_on: Dict[Link, Dict[object, None]] = {}
+        self._flows_on: Dict[Link, Dict[Flow, None]] = {}
         self._timer: Optional[Timer] = None
         self._seq = 0
         #: Flows whose last water-filling left them at rate 0 (their
@@ -283,7 +454,7 @@ class FabricBase:
         #: wake it; every re-rate therefore extends its seed links with
         #: the stalled flows' links, re-rating them as soon as *any*
         #: component event fires (and immediately once capacity returns).
-        self._stalled: Dict[object, None] = {}
+        self._stalled: Dict[Flow, None] = {}
         #: Components re-rated since construction (self-profiling metric:
         #: pairs with ``flows_rerated`` to show the incremental win).
         self.rerate_calls = 0
@@ -295,8 +466,19 @@ class FabricBase:
         #: admission; per-link *bytes* (``link_bytes``) are settled at
         #: delivery time, alongside ``bytes_delivered``.
         self.link_flows: Dict[str, int] = {}
+        self._table = FlowTable()
+        self._slot_flow: List[Optional[Flow]] = [None] * self._table.capacity
+        self._link_ids: Dict[Link, int] = {}
+        self._link_list: List[Link] = []
+        self._link_bytes_arr = np.zeros(64)
+        self._caps = np.ones(64)
+        self._pending: List[Flow] = []
+        self._flush_timer = None
+        #: Path → link-id tuple; collectives re-send the same few hundred
+        #: routes thousands of times, so admissions skip the id lookup.
+        self._path_ids: Dict[tuple, tuple] = {}
 
-    # -- link management -----------------------------------------------------
+    # -- link registry -------------------------------------------------------
     def add_link(
         self,
         name: str,
@@ -309,19 +491,38 @@ class FabricBase:
         self._links[name] = link
         self._flows_on[link] = {}
         self.link_flows[name] = 0
-        self._register_link(link)
+        i = len(self._link_list)
+        if i >= self._link_bytes_arr.shape[0]:
+            grown = np.zeros(self._link_bytes_arr.shape[0] * 2)
+            grown[:i] = self._link_bytes_arr
+            self._link_bytes_arr = grown
+            caps = np.ones(self._caps.shape[0] * 2)
+            caps[:i] = self._caps
+            self._caps = caps
+        self._link_ids[link] = i
+        self._link_list.append(link)
         return link
-
-    def _register_link(self, link: Link) -> None:
-        """Kernel hook: called once per new link."""
 
     def link(self, name: str) -> Link:
         return self._links[name]
 
-    def has_link(self, name: str) -> bool:
-        return name in self._links
+    # -- observability -------------------------------------------------------
+    @property
+    def active_flows(self) -> List[Flow]:
+        self._flush()
+        return list(self._flows)
 
-    # -- transfers -------------------------------------------------------------
+    @property
+    def link_bytes(self) -> Dict[str, float]:
+        """Per-link delivered bytes (settled with ``bytes_delivered``)."""
+        self._flush()
+        counters = self._link_bytes_arr
+        return {
+            link.name: float(counters[i])
+            for i, link in enumerate(self._link_list)
+        }
+
+    # -- admission -----------------------------------------------------------
     def transfer(
         self,
         links: Sequence[Link],
@@ -330,7 +531,11 @@ class FabricBase:
         label: str = "",
     ) -> Event:
         """Start a bulk transfer; the returned event fires at completion
-        with the completion time as its value."""
+        with the completion time as its value.
+
+        Admission only appends to the pending wave; the deferred flush
+        does the rating.
+        """
         env = self.env
         event = Event(env)
         if nbytes <= 0:
@@ -339,43 +544,150 @@ class FabricBase:
         if not links:
             raise ValueError("a transfer needs at least one link")
         now = env.now
-        flow = self._make_flow(tuple(links), nbytes, cpu_cap, event, label, now)
+        links = tuple(links)
+        table = self._table
+        free = table._free
+        slot = free.pop() if free else table.alloc()
+        slot_flow = self._slot_flow
+        if slot >= len(slot_flow):
+            slot_flow.extend([None] * (table.capacity - len(slot_flow)))
+        path_ids = self._path_ids.get(links)
+        if path_ids is None:
+            path_ids = tuple(self._link_ids[lk] for lk in links)
+            self._path_ids[links] = path_ids
+        seq = self._seq
+        self._seq = seq + 1
+        flow = Flow(
+            links, path_ids, float(nbytes), cpu_cap, event, label, seq,
+            now, slot, table,
+        )
+        slot_flow[slot] = flow
         self._flows[flow] = None
         link_flows = self.link_flows
-        for link in flow.links:
-            self._flows_on[link][flow] = None
+        flows_on = self._flows_on
+        for link in links:
+            flows_on[link][flow] = None
             link_flows[link.name] += 1
         tracer = env.tracer
         if tracer.enabled:
             tracer.flow_start(
-                now, label, float(nbytes), [lk.name for lk in flow.links],
-                seq=flow.seq,
+                now, label, float(nbytes), [lk.name for lk in links], seq=seq
             )
-        self._admit(flow)
+        self._pending.append(flow)
+        if self._flush_timer is None:
+            self._flush_timer = env.defer(self._flush)
         return event
 
-    # -- kernel hooks --------------------------------------------------------
-    def _make_flow(self, links, nbytes, cap, event, label, now):
-        raise NotImplementedError
-
-    def _admit(self, flow) -> None:
-        raise NotImplementedError
-
     def capacities_changed(self, links: Optional[Iterable[Link]] = None) -> None:
-        raise NotImplementedError
+        """Re-read link capacities (call after DVFS transitions).
 
-    # -- shared internals ----------------------------------------------------
-    def _carrying_links(self) -> List[Link]:
-        return [lk for lk, flows_on in self._flows_on.items() if flows_on]
+        With ``links`` given, only the components touching those links are
+        re-rated; without, every link currently carrying flows is treated
+        as changed.
+        """
+        if not self._flows:
+            return
+        self._flush()
+        if links is None:
+            links = [lk for lk, flows_on in self._flows_on.items() if flows_on]
+        self._rerate_now(links)
 
-    def _stalled_links(self) -> List[Link]:
-        return [lk for flow in self._stalled for lk in flow.links]
+    # -- re-rating -----------------------------------------------------------
+    def _flush(self, _timer=None) -> None:
+        """Rate every flow admitted at the current timestamp.
 
-    def _component(self, seed_links: Iterable[Link]) -> List[object]:
+        For same-timestamp admissions only the *last* per-admission
+        re-rate touching a component would determine its rates
+        (water-filling is memoryless), and that re-rate sees exactly the
+        component as it stands once the whole wave is admitted — so one
+        re-rate per touched component gives the same rates bit-for-bit.
+        Stalled-flow rescue widens the seed set per request, making the
+        grouping request-order-dependent; that rare regime re-rates
+        admission by admission.
+        """
+        if self._flush_timer is not None:
+            self._flush_timer.cancel()
+            self._flush_timer = None
+        pending = self._pending
+        if not pending:
+            return
+        self._pending = []
+        now = self.env.now
+        table = self._table
+        count = len(pending)
+        idx = np.fromiter((f.idx for f in pending), dtype=np.int64, count=count)
+        table.remaining[idx] = np.fromiter(
+            (f.nbytes for f in pending), dtype=np.float64, count=count
+        )
+        table.cap[idx] = np.fromiter(
+            (f.cap for f in pending), dtype=np.float64, count=count
+        )
+        table.seq[idx] = np.fromiter(
+            (f.seq for f in pending), dtype=np.int64, count=count
+        )
+        table.updated[idx] = now
+        if self._stalled:
+            for flow in pending:
+                if flow.idx >= 0:
+                    self._rerate_now(flow.links)
+            return
+        if count == len(self._flows):
+            # Full wave (no pre-existing flows): components are exactly
+            # the connectivity classes of the pending flows, found by an
+            # integer union-find over link ids — far cheaper than one
+            # object-graph BFS per flow.  Group order is first-encounter
+            # and members stay in admission (seq) order, matching the
+            # BFS grouping below.
+            parent: Dict[int, int] = {}
+
+            def find(x: int) -> int:
+                root = x
+                while parent[root] != root:
+                    root = parent[root]
+                while parent[x] != root:
+                    parent[x], x = root, parent[x]
+                return root
+
+            for flow in pending:
+                ids = flow.link_ids
+                first = ids[0]
+                if first not in parent:
+                    parent[first] = first
+                root = find(first)
+                for li in ids[1:]:
+                    if li not in parent:
+                        parent[li] = root
+                    else:
+                        parent[find(li)] = root
+            by_root: Dict[int, List[Flow]] = {}
+            for flow in pending:
+                root = find(flow.link_ids[0])
+                group = by_root.get(root)
+                if group is None:
+                    by_root[root] = [flow]
+                else:
+                    group.append(flow)
+            self._apply(list(by_root.values()))
+            return
+        covered = set()
+        groups: List[List[Flow]] = []
+        for flow in pending:
+            # A flow with any link covered lies entirely inside an
+            # already-collected component (components are link-disjoint).
+            if flow.idx < 0 or flow.links[0] in covered:
+                continue
+            component = self._component(flow.links)
+            groups.append(component)
+            for member in component:
+                covered.update(member.links)
+        if groups:
+            self._apply(groups)
+
+    def _component(self, seed_links: Iterable[Link]) -> List[Flow]:
         """All active flows transitively sharing links with ``seed_links``,
-        in admission (``seq``) order — the canonical fold order both
-        kernels settle and water-fill in."""
-        component: Dict[object, None] = {}
+        in admission (``seq``) order — the canonical fold order flows are
+        settled and water-filled in."""
+        component: Dict[Flow, None] = {}
         seen_links = set()
         stack: List[Link] = []
         for link in seed_links:
@@ -396,86 +708,61 @@ class FabricBase:
         flows.sort(key=_seq_of)
         return flows
 
-
-class ScalarFabric(FabricBase):
-    """Reference kernel: per-flow objects, a completion min-heap guarded
-    by per-flow epochs, one water-filling pass per fabric event."""
-
-    def __init__(self, env: Environment, spec: NetworkSpec):
-        super().__init__(env, spec)
-        #: Min-heap of (finish_time, seq, epoch, flow) predictions; entries
-        #: whose epoch lags the flow's are stale and skipped on pop.
-        self._completions: List[Tuple[float, int, int, Flow]] = []
-        #: Per-link bytes *delivered* (settled with ``bytes_delivered``).
-        self.link_bytes: Dict[str, float] = {}
-
-    def _register_link(self, link: Link) -> None:
-        self.link_bytes[link.name] = 0.0
-
-    @property
-    def active_flows(self) -> List[Flow]:
-        return list(self._flows)
-
-    def _make_flow(self, links, nbytes, cap, event, label, now) -> Flow:
-        flow = Flow(links, nbytes, cap, event, label=label)
-        flow.seq = self._seq
-        self._seq += 1
-        flow.started_at = now
-        flow.updated_at = now
-        return flow
-
-    def _admit(self, flow: Flow) -> None:
-        self._rerate(flow.links)
-
-    def capacities_changed(self, links: Optional[Iterable[Link]] = None) -> None:
-        """Re-read link capacities (call after DVFS transitions).
-
-        With ``links`` given, only the components touching those links are
-        re-rated; without, every link currently carrying flows is treated
-        as changed (the safe legacy behaviour).
-        """
-        if not self._flows:
-            return
-        if links is None:
-            links = self._carrying_links()
-        self._rerate(links)
-
-    # -- internals ---------------------------------------------------------------
-    def _settle_flow(self, flow: Flow, now: float) -> None:
-        """Drain bytes at the current rate since the flow's last update."""
-        dt = now - flow.updated_at
-        if dt > 0.0 and flow.rate > 0.0:
-            moved = flow.rate * dt
-            if moved > flow.remaining:
-                moved = flow.remaining
-            flow.remaining -= moved
-            self.bytes_delivered += moved
-            if moved > 0.0:
-                link_bytes = self.link_bytes
-                for link in flow.links:
-                    link_bytes[link.name] += moved
-        flow.updated_at = now
-
-    def _rerate(self, changed_links: Iterable[Link]) -> None:
-        """Settle and re-run water-filling over the affected component."""
+    def _rerate_now(self, seed_links: Iterable[Link]) -> None:
+        """One immediate component re-rate (completions / capacity
+        changes) — the union of components touching the seeds is solved
+        as a single water-fill, so cross-component tolerance coupling is
+        that of one per-event re-rate."""
         if not self._flows:
             self._arm_timer()
             return
+        seeds = list(seed_links)
         if self._stalled:
-            changed_links = list(changed_links) + self._stalled_links()
-        if self.spec.incremental_rerate:
-            component = self._component(changed_links)
-        else:
-            component = list(self._flows)  # admission order == seq order
+            seeds += [lk for flow in self._stalled for lk in flow.links]
+        component = self._component(seeds)
         if not component:
             self._arm_timer()
             return
-        self.rerate_calls += 1
-        self.flows_rerated += len(component)
+        self._apply([component])
+
+    def _apply(self, groups: List[List[Flow]]) -> None:
+        """Settle + water-fill + predict for a batch of disjoint groups."""
         now = self.env.now
+        self.rerate_calls += len(groups)
+        total = sum(len(g) for g in groups)
+        self.flows_rerated += total
+        if total <= self.SMALL_BATCH:
+            for group in groups:
+                self._apply_small(group, now)
+        else:
+            self._apply_batch(groups, total, now)
+        self._arm_timer()
+
+    def _apply_small(self, component: List[Flow], now: float) -> None:
+        """Scalar-shaped path for small components: same canonical folds
+        (and the same ``maxmin_rates``), just without numpy dispatch."""
+        table = self._table
+        remaining = table.remaining
+        rate_arr = table.rate
+        updated = table.updated
+        finish = table.finish
+        link_bytes = self._link_bytes_arr
         capacities: Dict[Link, float] = {}
         for flow in component:
-            self._settle_flow(flow, now)
+            i = flow.idx
+            dt = now - float(updated[i])
+            rate = float(rate_arr[i])
+            if dt > 0.0 and rate > 0.0:
+                moved = rate * dt
+                rem = float(remaining[i])
+                if moved > rem:
+                    moved = rem
+                remaining[i] = rem - moved
+                self.bytes_delivered += moved
+                if moved > 0.0:
+                    for li in flow.link_ids:
+                        link_bytes[li] += moved
+            updated[i] = now
             for link in flow.links:
                 if link not in capacities:
                     capacities[link] = link.capacity
@@ -488,72 +775,169 @@ class ScalarFabric(FabricBase):
         stalled = self._stalled
         for flow in component:
             rate = rates[flow]
-            flow.rate = rate
-            flow._epoch += 1
+            i = flow.idx
+            rate_arr[i] = rate
             if rate > 0.0:
                 if stalled:
                     stalled.pop(flow, None)
-                finish = flow.updated_at + flow.remaining / rate
-                heapq.heappush(
-                    self._completions, (finish, flow.seq, flow._epoch, flow)
-                )
+                finish[i] = float(updated[i]) + float(remaining[i]) / rate
             else:
-                # Fully faulted bottleneck: no completion prediction.
-                # Tracked so the next component event re-rates it (see
-                # FabricBase._stalled) instead of dropping it forever.
+                finish[i] = np.inf
                 stalled[flow] = None
-        self._arm_timer()
 
+    def _apply_batch(
+        self, groups: List[List[Flow]], total: int, now: float
+    ) -> None:
+        table = self._table
+        flat = [f for g in groups for f in g]
+        idx = np.fromiter((f.idx for f in flat), dtype=np.int64, count=total)
+        seg = np.repeat(
+            np.arange(len(groups)),
+            np.fromiter((len(g) for g in groups), dtype=np.int64, count=len(groups)),
+        )
+        lens = np.fromiter(
+            (len(f.link_ids) for f in flat), dtype=np.int64, count=total
+        )
+        rep_flow = np.repeat(np.arange(total), lens)
+        rep_link = np.fromiter(
+            (li for f in flat for li in f.link_ids),
+            dtype=np.int64,
+            count=int(lens.sum()),
+        )
+        self._settle_batch(idx, rep_flow, rep_link, now)
+        # Refresh every registered link's capacity: fabrics hold at most a
+        # few hundred links, so a straight attribute sweep beats sorting
+        # the incidence column (np.unique) to find the touched subset.
+        caps = self._caps
+        link_list = self._link_list
+        for li, link in enumerate(link_list):
+            caps[li] = link.capacity
+        rates = waterfill(
+            len(link_list),
+            caps[: len(link_list)],
+            table.cap[idx],
+            seg,
+            len(groups),
+            rep_flow,
+            rep_link,
+            self.spec.flow_congestion,
+            self.spec.flow_congestion_saturation,
+        )
+        table.rate[idx] = rates
+        positive = rates > 0.0
+        fin = np.full(total, np.inf)
+        rem_new = table.remaining[idx]
+        fin[positive] = now + rem_new[positive] / rates[positive]
+        table.finish[idx] = fin
+        stalled = self._stalled
+        if not positive.all():
+            for k in np.nonzero(~positive)[0].tolist():
+                stalled[flat[k]] = None
+        if stalled:
+            for k in np.nonzero(positive)[0].tolist():
+                stalled.pop(flat[k], None)
+
+    def _settle_batch(
+        self,
+        idx: np.ndarray,
+        rep_flow: np.ndarray,
+        rep_link: np.ndarray,
+        now: float,
+    ) -> None:
+        """Vectorized lazy settle: drain bytes at the pre-change rates,
+        folding byte counters in flow (admission/due) order."""
+        table = self._table
+        old_rate = table.rate[idx]
+        dt = now - table.updated[idx]
+        rem = table.remaining[idx]
+        moved = np.where((dt > 0.0) & (old_rate > 0.0), old_rate * dt, 0.0)
+        moved = np.where(moved > rem, rem, moved)
+        table.remaining[idx] = rem - moved
+        table.updated[idx] = now
+        moving = moved > 0.0
+        if moving.any():
+            for value in moved[moving].tolist():
+                self.bytes_delivered += value
+            sel = moving[rep_flow]
+            np.add.at(
+                self._link_bytes_arr, rep_link[sel], moved[rep_flow[sel]]
+            )
+
+    # -- completions ---------------------------------------------------------
     def _arm_timer(self) -> None:
-        """Point the (single, cancellable) wake-up at the next prediction."""
-        heap = self._completions
-        while heap:
-            _, _, epoch, flow = heap[0]
-            if flow in self._flows and epoch == flow._epoch:
-                break
-            heapq.heappop(heap)
-        if not heap:
+        """Arm the single wake-up from the finish vector's minimum (free
+        and zero-rated slots hold ``inf``, so no purging is needed)."""
+        t_next = float(self._table.finish.min())
+        if t_next == math.inf:
             if self._timer is not None:
                 self._timer.cancel()
                 self._timer = None
             return
-        t_next = heap[0][0]
         if self._timer is not None:
             if not self._timer.cancelled and self._timer.at <= t_next:
                 return  # fires at or before the new prediction; re-arms itself
             self._timer.cancel()
         self._timer = self.env.call_at(max(t_next, self.env.now), self._on_timer)
 
-    def _on_timer(self, _timer: Timer) -> None:
+    def _on_timer(self, _timer) -> None:
         self._timer = None
+        self._flush()  # admissions queued ahead of this timer at the same t
+        table = self._table
         now = self.env.now
-        heap = self._completions
-        due: List[Flow] = []
-        while heap and heap[0][0] <= now:
-            _, _, epoch, flow = heapq.heappop(heap)
-            if flow in self._flows and epoch == flow._epoch:
-                due.append(flow)
-        # Settle all due flows first, then process completions — two
-        # passes so the byte-counter fold order matches the vector
-        # kernel's batched settle + batched completion credit.
-        for flow in due:
-            self._settle_flow(flow, now)
+        finish = table.finish
+        due = np.nonzero(finish <= now)[0]
+        if due.size == 0:
+            self._arm_timer()
+            return
+        # Process in (finish, seq) order: the canonical completion order.
+        due = due[np.lexsort((table.seq[due], finish[due]))]
+        flows = [self._slot_flow[s] for s in due.tolist()]
+        count = len(flows)
+        lens = np.fromiter(
+            (len(f.link_ids) for f in flows), dtype=np.int64, count=count
+        )
+        rep_flow = np.repeat(np.arange(count), lens)
+        rep_link = np.fromiter(
+            (li for f in flows for li in f.link_ids),
+            dtype=np.int64,
+            count=int(lens.sum()),
+        )
+        self._settle_batch(due, rep_flow, rep_link, now)
+        rem = table.remaining[due]
+        done = rem <= _EPSILON_BYTES
         freed: Dict[Link, None] = {}
         tracer = self.env.tracer
-        for flow in due:
-            if flow.remaining <= _EPSILON_BYTES:
-                tail = flow.remaining
-                self.bytes_delivered += tail
-                if tail > 0.0:
-                    link_bytes = self.link_bytes
-                    for link in flow.links:
-                        link_bytes[link.name] += tail
-                flow.remaining = 0.0
-                del self._flows[flow]
+        traced = tracer.enabled
+        stalled = self._stalled
+        if done.any():
+            # Completion credit: the sub-epsilon residual tails.
+            for value in rem[done].tolist():
+                self.bytes_delivered += value
+            done_rep = done[rep_flow]
+            np.add.at(
+                self._link_bytes_arr, rep_link[done_rep], rem[rep_flow[done_rep]]
+            )
+            # Clear the table rows in one array transaction and return
+            # the slots to the free list.
+            done_slots = due[done]
+            table.remaining[done_slots] = 0.0
+            table.rate[done_slots] = 0.0
+            table.finish[done_slots] = np.inf
+            table._free.extend(done_slots.tolist())
+            flows_dict = self._flows
+            flows_on = self._flows_on
+            slot_flow = self._slot_flow
+            for k in np.nonzero(done)[0].tolist():
+                flow = flows[k]
+                slot_flow[flow.idx] = None
+                flow.idx = -1
+                del flows_dict[flow]
                 for link in flow.links:
-                    del self._flows_on[link][flow]
+                    del flows_on[link][flow]
                     freed[link] = None
-                if tracer.enabled:
+                if stalled:
+                    stalled.pop(flow, None)
+                if traced:
                     tracer.flow_finish(
                         now,
                         flow.label,
@@ -564,42 +948,23 @@ class ScalarFabric(FabricBase):
                         delivered=flow.nbytes,
                     )
                 flow.event.succeed(now)
-            else:
-                # Prediction landed a shade early (float slack): repush.
-                flow._epoch += 1
-                if flow.rate > 0.0:
-                    finish = flow.updated_at + flow.remaining / flow.rate
-                    heapq.heappush(heap, (finish, flow.seq, flow._epoch, flow))
+        live = ~done
+        if live.any():
+            # Prediction landed a shade early (float slack): re-predict;
+            # a flow re-rated to zero in between parks with the stalled
+            # set instead of being dropped.
+            remaining = table.remaining
+            updated = table.updated
+            rate_arr = table.rate
+            for k in np.nonzero(live)[0].tolist():
+                slot = int(due[k])
+                rate = float(rate_arr[slot])
+                if rate > 0.0:
+                    finish[slot] = float(updated[slot]) + float(remaining[slot]) / rate
                 else:
-                    # Re-rated to zero between prediction and wake-up:
-                    # park it with the stalled set rather than dropping
-                    # the flow with no prediction at all.
-                    self._stalled[flow] = None
+                    finish[slot] = np.inf
+                    stalled[flows[k]] = None
         if freed:
-            self._rerate(freed)
+            self._rerate_now(freed)
         else:
             self._arm_timer()
-
-
-def vector_kernel_available() -> bool:
-    """True when the numpy-backed fabric kernel can be used."""
-    try:
-        import numpy  # noqa: F401
-    except ImportError:  # pragma: no cover - numpy is a baked-in dep here
-        return False
-    return True
-
-
-def Fabric(env: Environment, spec: NetworkSpec) -> FabricBase:
-    """Build the fabric kernel selected by ``spec``.
-
-    Returns the numpy :class:`~repro.network.kernel.VectorFabric` when
-    ``spec.vectorized`` is true and numpy is importable; otherwise the
-    :class:`ScalarFabric` reference kernel.  Both are drop-in equivalent
-    (identical rates, completion times, and event ordering).
-    """
-    if getattr(spec, "vectorized", True) and vector_kernel_available():
-        from .kernel import VectorFabric
-
-        return VectorFabric(env, spec)
-    return ScalarFabric(env, spec)

@@ -21,7 +21,38 @@ Two knobs tie the network to the power machinery:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import asdict, dataclass, fields
+
+#: ``(fields, predicate, requirement)`` checked at construction, so a bad
+#: value fails here with its field name instead of stalling, dividing by
+#: zero or scheduling a negative delay deep inside a run.  Cross-spec
+#: rules (e.g. a racked cluster needs ``rack_uplink_factor > 0``) live in
+#: :func:`repro.sim.session.check_session_specs`.
+_RULES = (
+    (
+        ("nic_bw", "shm_bw", "shm_bw_cross_socket", "mem_bw_node",
+         "reduce_bw", "cpu_feed_bw"),
+        lambda v: math.isfinite(v) and v > 0,
+        "finite and positive",
+    ),
+    (
+        ("inter_node_latency", "shm_latency", "o_send", "o_recv",
+         "rndv_rtt_factor", "spin_window", "interrupt_latency",
+         "resched_latency", "rack_uplink_factor", "flow_congestion",
+         "flow_congestion_saturation"),
+        lambda v: math.isfinite(v) and v >= 0,
+        "finite and non-negative",
+    ),
+    # inf is the non-blocking crossbar; NaN fails the comparison.
+    (("switch_oversubscription",), lambda v: v > 0,
+     "positive (inf for a non-blocking switch)"),
+    (("dvfs_io_alpha", "mem_dvfs_alpha"), lambda v: 0.0 <= v <= 1.0,
+     "in [0, 1]"),
+    (("blocking_nic_factor",), lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
+    (("blocking_chunk",), lambda v: v > 0, "positive"),
+    (("eager_threshold",), lambda v: v >= 0, ">= 0"),
+)
 
 
 @dataclass(frozen=True)
@@ -96,21 +127,6 @@ class NetworkSpec:
     #: Per-flow CPU pipeline feed cap at fmax/T0 (B/s).
     cpu_feed_bw: float = 8.0e9
 
-    # -- fabric kernel -------------------------------------------------------
-    #: Re-run water-filling only over the connected component of flows
-    #: affected by a change (exact — components share no links).  False
-    #: forces the historical whole-fabric recompute on every event; only
-    #: useful for benchmarking the kernel itself.
-    incremental_rerate: bool = True
-    #: Use the numpy array kernel (``repro.network.kernel.VectorFabric``):
-    #: flow state in slot-addressed arrays, same-timestamp admissions
-    #: batched into one water-filling flush, completions from a single
-    #: finish-time vector.  False selects the scalar object-graph kernel,
-    #: kept as the differential-testing oracle — both produce identical
-    #: rates and completion times (DESIGN.md §12).  Ignored (scalar
-    #: fallback) when numpy is unavailable.
-    vectorized: bool = True
-
     # -- blocking progression mode (§II-B) ----------------------------------
     #: How long a blocking-mode process spins before yielding the CPU (s).
     spin_window: float = 20e-6
@@ -127,31 +143,50 @@ class NetworkSpec:
     blocking_nic_factor: float = 0.55
 
     def __post_init__(self) -> None:
-        if self.nic_bw <= 0 or self.shm_bw <= 0 or self.mem_bw_node <= 0:
-            raise ValueError("bandwidths must be positive")
-        if self.eager_threshold < 0:
-            raise ValueError("eager_threshold must be >= 0")
-        if not 0.0 <= self.dvfs_io_alpha <= 1.0:
-            raise ValueError("dvfs_io_alpha must be in [0, 1]")
+        for names, ok, requirement in _RULES:
+            for name in names:
+                value = getattr(self, name)
+                try:
+                    valid = ok(value)
+                except TypeError:
+                    valid = False
+                if not valid:
+                    raise ValueError(
+                        f"NetworkSpec.{name} must be {requirement}, "
+                        f"got {value!r}"
+                    )
 
     def to_dict(self) -> dict:
         """Plain-data form for sweep cells and cache keys (flat floats/
         ints/bools; ``inf`` survives the JSON round trip as ``Infinity``).
 
-        ``vectorized`` is deliberately excluded: it selects an execution
-        kernel, not a model parameter — both kernels produce identical
-        results (DESIGN.md §12), so a result cache primed under either
-        stays valid under the other.
+        Carries ``"incremental_rerate": true`` as a constant: the key
+        predates the removal of whole-fabric re-rating, and the result
+        cache's environment signature hashes this dict, so dropping it
+        would orphan every cached cell.
         """
-        from dataclasses import asdict
-
-        data = asdict(self)
-        del data["vectorized"]
+        data = {}
+        for name, value in asdict(self).items():
+            data[name] = value
+            if name == "cpu_feed_bw":
+                data["incremental_rerate"] = True
         return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "NetworkSpec":
         """Inverse of :meth:`to_dict` (omitted keys take defaults)."""
+        data = dict(data)
+        if data.pop("incremental_rerate", True) is not True:
+            raise ValueError(
+                "NetworkSpec: incremental_rerate=false is no longer "
+                "supported; whole-fabric re-rating was removed (the "
+                "component-local re-rate gives the same rates)"
+            )
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(
+                f"NetworkSpec: unknown keys {', '.join(unknown)}"
+            )
         return cls(**data)
 
     def nic_dvfs_factor(self, mean_freq_ratio: float) -> float:

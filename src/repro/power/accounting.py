@@ -6,28 +6,22 @@ one constant-power segment:
 
     E += p(core state during segment) · (now − segment start)
 
-Segments are also recorded so the sampled :class:`repro.power.meter.
-PowerMeter` can reconstruct the kW-vs-time series the paper plots.
+Segments append into a structure-of-arrays
+:class:`~repro.power.timeline.SegmentStore` (DESIGN.md §13) so the sampled
+:class:`repro.power.meter.PowerMeter` can reconstruct the kW-vs-time
+series the paper plots; ``segments`` is a lazy
+:class:`~repro.power.timeline.SegmentView` that still yields
+:class:`PowerSegment` objects.  Per-core energy is folded out of the
+columns on demand, in row order.
 
-Two storage backends share one accounting discipline (DESIGN.md §13):
-
-* **columnar** (default) — segments append into a structure-of-arrays
-  :class:`~repro.power.timeline.SegmentStore`; ``segments`` is a lazy
-  :class:`~repro.power.timeline.SegmentView` that still yields
-  :class:`PowerSegment` objects for existing callers.
-* **object** (``columnar=False``) — the original per-segment
-  ``PowerSegment`` list, kept verbatim as the differential-testing oracle
-  (mirroring ``NetworkSpec(vectorized=False)`` for the fabric kernel).
-
-Both paths evaluate power, accumulate energy and order segments
-identically, so their results are byte-identical — a property the
-``benchmarks/bench_power_path.py`` gate and the hypothesis differential
-suite both enforce.
+The hypothesis differential suite and the ``benchmarks/bench_power_path.py``
+gate hold this accountant byte-identical to the per-segment object
+accountant in ``tests/oracles/energy.py``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Union
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -48,51 +42,35 @@ class EnergyAccountant:
         model: Optional[PowerModel] = None,
         start_time: float = 0.0,
         keep_segments: bool = True,
-        columnar: bool = True,
     ):
         self.cluster = cluster
         self.model = model or PowerModel()
         self.start_time = start_time
         self.keep_segments = keep_segments
-        self.columnar = columnar
-        self._last_time: Dict[int, float] = {
-            core.core_id: start_time for core in cluster.cores
-        }
         self._core_energy: Dict[int, float] = {
             core.core_id: 0.0 for core in cluster.cores
         }
         self._finalized_at: Optional[float] = None
         self._detached = False
-        if columnar:
-            self._store: Optional[SegmentStore] = (
-                SegmentStore() if keep_segments else None
-            )
-            if keep_segments:
-                (self._stage_buf, self._stage_fold,
-                 self._stage_limit) = self._store.staging()
-            else:
-                self._stage_buf = None
-                self._stage_fold = None
-                self._stage_limit = 0
-            self._segment_list: List[PowerSegment] = []
-            self._on_change = self._on_change_columnar
-            # List-indexed last-change times (core ids are small ints);
-            # two list ops per event beat two dict probes.
-            self._last_list = [start_time] * (
-                max((c.core_id for c in cluster.cores), default=-1) + 1
-            )
+        self._store: Optional[SegmentStore] = (
+            SegmentStore() if keep_segments else None
+        )
+        if keep_segments:
+            (self._stage_buf, self._stage_fold,
+             self._stage_limit) = self._store.staging()
         else:
-            self._store = None
             self._stage_buf = None
             self._stage_fold = None
             self._stage_limit = 0
-            self._segment_list = []
-            self._on_change = self._on_change_object
-            self._last_list = []
-        # Hot-path bindings: the model's memo dict (None when the model is
-        # uncached) lets the listener resolve a repeated state's power with
-        # one dict probe instead of a method call; ``_core_power`` is the
-        # slow path that also fills that memo.
+        # List-indexed last-change times (core ids are small ints); two
+        # list ops per event beat two dict probes.
+        self._last_list = [start_time] * (
+            max((c.core_id for c in cluster.cores), default=-1) + 1
+        )
+        # Hot-path bindings: the model's memo dict lets the listener
+        # resolve a repeated state's power with one dict probe instead of
+        # a method call; ``_core_power`` is the slow path that also fills
+        # that memo.
         self._model_cache = self.model._cache
         self._core_power = self.model.core_power
         # With a store, per-core energy is derived from the columns on
@@ -102,16 +80,12 @@ class EnergyAccountant:
         cluster.add_listener(self._on_change)
 
     @property
-    def segments(self) -> Union[List[PowerSegment], SegmentView]:
-        """The recorded timeline, as ``PowerSegment``-yielding sequence."""
+    def segments(self) -> Sequence[PowerSegment]:
+        """The recorded timeline as a ``PowerSegment`` sequence (empty
+        when built with ``keep_segments=False``)."""
         if self._store is not None:
             return SegmentView(self._store)
-        return self._segment_list
-
-    @property
-    def segment_store(self) -> Optional[SegmentStore]:
-        """The raw columnar store (``None`` on the object/oracle path)."""
-        return self._store
+        return []
 
     # -- listener ----------------------------------------------------------
     def detach(self) -> None:
@@ -130,9 +104,9 @@ class EnergyAccountant:
     def detached(self) -> bool:
         return self._detached
 
-    def _on_change_columnar(self, core: Core, now: float) -> None:
-        """Columnar hot path: close the segment ending at ``now`` (core
-        state is still the *old* state when this is invoked)."""
+    def _on_change(self, core: Core, now: float) -> None:
+        """Close the segment ending at ``now`` (core state is still the
+        *old* state when this is invoked)."""
         cid = core.core_id
         last_list = self._last_list
         last = last_list[cid]
@@ -145,14 +119,10 @@ class EnergyAccountant:
                     "(a finalized accountant must not silently extend its "
                     "segments)"
                 )
-            cache = self._model_cache
-            if cache is not None:
-                power = cache.get(
-                    (core.frequency_ghz, core.tstate, core.activity)
-                )
-                if power is None:
-                    power = self._core_power(core)
-            else:
+            power = self._model_cache.get(
+                (core.frequency_ghz, core.tstate, core.activity)
+            )
+            if power is None:
                 power = self._core_power(core)
             buf = self._stage_buf
             if buf is not None:
@@ -166,27 +136,6 @@ class EnergyAccountant:
         elif now < last:  # pragma: no cover - defensive
             raise ValueError(f"time went backwards for core {cid}")
         last_list[cid] = now
-
-    def _on_change_object(self, core: Core, now: float) -> None:
-        """Original object-based path, preserved as differential oracle."""
-        last = self._last_time[core.core_id]
-        if now < last:  # pragma: no cover - defensive
-            raise ValueError(f"time went backwards for core {core.core_id}")
-        if self._finalized_at is not None and now > last:
-            raise RuntimeError(
-                f"EnergyAccountant was finalized at t={self._finalized_at} "
-                f"but core {core.core_id} changed state at t={now}; call "
-                "detach() before reusing the cluster (a finalized "
-                "accountant must not silently extend its segments)"
-            )
-        if now > last:
-            power = self.model.core_power(core)
-            self._core_energy[core.core_id] += power * (now - last)
-            if self.keep_segments:
-                self._segment_list.append(
-                    PowerSegment(core.core_id, last, now, power)
-                )
-        self._last_time[core.core_id] = now
 
     # -- finalisation & queries ---------------------------------------------
     def finalize(self, now: float) -> None:
@@ -205,7 +154,7 @@ class EnergyAccountant:
 
         Always recomputed from row 0: ``np.bincount`` accumulates
         ``power·width`` into each core's slot in row (= time) order, the
-        exact addition sequence the object oracle performs eagerly — an
+        exact addition sequence of an eager per-segment sum — an
         *incremental* fold from a watermark would regroup the additions
         ``(a+b)+(c+d)`` vs ``((a+b)+c)+d`` and break byte-identity.
         """

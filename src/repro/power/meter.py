@@ -8,10 +8,9 @@ dividing by the bucket width, then adding the constant node overhead.
 
 :meth:`PowerMeter.from_segments` is vectorized (DESIGN.md §13): segment
 intervals are clipped against the bucket grid and the overlap-weighted
-energy lands via one unbuffered ``np.add.at`` in segment-major,
-bucket-minor order — the exact accumulation order of the original
-segments×buckets Python loop, which is preserved as
-:meth:`from_segments_reference` (the differential oracle).
+energy lands in segment-major, bucket-minor order — the exact
+accumulation order of a per-segment, per-bucket Python loop.  That loop
+is kept as the differential oracle in ``tests/oracles/energy.py``.
 """
 
 from __future__ import annotations
@@ -131,11 +130,7 @@ class PowerMeter:
         end: float,
         base_w: float = 0.0,
     ) -> PowerTrace:
-        """Bucket segment energy into meter intervals; add ``base_w``.
-
-        Whole-array implementation; byte-identical to
-        :meth:`from_segments_reference`.
-        """
+        """Bucket segment energy into meter intervals; add ``base_w``."""
         if isinstance(segments, (SegmentStore, SegmentView)):
             _, seg_start, seg_end, seg_power = segments.columns()
         else:
@@ -182,8 +177,7 @@ class PowerMeter:
                 if total:
                     # Expand every segment into its (segment, bucket) pairs,
                     # segment-major / bucket-minor — the reference loop's
-                    # accumulation order, which np.add.at replays exactly
-                    # (unbuffered, in index order).
+                    # accumulation order.
                     reps = np.repeat(np.arange(len(lo)), counts)
                     offsets = (np.arange(total)
                                - np.repeat(np.cumsum(counts) - counts, counts))
@@ -203,33 +197,3 @@ class PowerMeter:
                     )
         power_w = energy / widths + base_w
         return PowerTrace(times_s=times, power_w=power_w)
-
-    # -- scalar reference (differential oracle) ----------------------------
-    def from_segments_reference(
-        self,
-        segments: Sequence[PowerSegment],
-        start: float,
-        end: float,
-        base_w: float = 0.0,
-    ) -> PowerTrace:
-        """Original per-segment Python loop, kept as the differential
-        oracle for :meth:`from_segments` (same grid, same fold order)."""
-        n_buckets, widths, times = self._grid(start, end)
-        if n_buckets == 0:
-            return PowerTrace(np.empty(0), np.empty(0))
-        energy = np.zeros(n_buckets)
-        for seg in segments:
-            lo = max(seg.start, start)
-            hi = min(seg.end, end)
-            if hi <= lo:
-                continue
-            first = min(int((lo - start) / self.interval_s), n_buckets - 1)
-            last = min(int(np.ceil((hi - start) / self.interval_s)), n_buckets)
-            for b in range(first, last):
-                b_lo = start + b * self.interval_s
-                b_hi = b_lo + widths[b]
-                overlap = min(hi, b_hi) - max(lo, b_lo)
-                if overlap > 0:
-                    energy[b] += seg.power_w * overlap
-        power = energy / widths + base_w
-        return PowerTrace(times_s=times, power_w=power)

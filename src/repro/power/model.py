@@ -89,20 +89,17 @@ class PowerModelParams:
 class PowerModel:
     """Evaluates instantaneous power draw from core state.
 
-    ``cached=True`` (default) memoizes :meth:`core_power` on the
-    ``(frequency_ghz, tstate, activity)`` state key — governed runs cycle
-    through a handful of distinct states, so unchanged states skip the
-    gate/cubic re-evaluation entirely.  The memo evaluates the *same*
-    floating-point expression as the uncached path, so results are
-    bit-identical either way; ``cached=False`` keeps the original
-    evaluate-every-call behavior for differential benchmarking.
+    :meth:`core_power` is memoized on the ``(frequency_ghz, tstate,
+    activity)`` state key — governed runs cycle through a handful of
+    distinct states, so unchanged states skip the gate/cubic
+    re-evaluation entirely.  A miss evaluates the same floating-point
+    expression as :meth:`core_power_for`, so memoized and direct results
+    are bit-identical.
     """
 
-    def __init__(self, params: PowerModelParams | None = None,
-                 cached: bool = True):
+    def __init__(self, params: PowerModelParams | None = None):
         self.params = params or PowerModelParams()
-        self.cached = cached
-        self._cache: Dict[tuple, float] | None = {} if cached else None
+        self._cache: Dict[tuple, float] = {}
 
     def full_core_power(self, freq_ghz: float) -> float:
         """Power of a fully-active, unthrottled core at ``freq_ghz`` (W)."""
@@ -116,18 +113,10 @@ class PowerModel:
 
     def core_power(self, core: Core) -> float:
         """Instantaneous power of ``core`` in its current state (W)."""
-        cache = self._cache
-        if cache is None:
-            act = self.params.activity_factors[core.activity]
-            return (act * self.gate(core.tstate)
-                    * self.full_core_power(core.frequency_ghz))
         key = (core.frequency_ghz, core.tstate, core.activity)
-        power = cache.get(key)
+        power = self._cache.get(key)
         if power is None:
-            act = self.params.activity_factors[core.activity]
-            power = (act * self.gate(core.tstate)
-                     * self.full_core_power(core.frequency_ghz))
-            cache[key] = power
+            power = self._cache[key] = self.core_power_for(*key)
         return power
 
     def core_power_for(

@@ -12,9 +12,8 @@ is vectorized (DESIGN.md §12).
 Appends stage in a small Python list (tuple appends are ~4x cheaper than
 four numpy scalar stores) and fold into the columns in batches; the fold
 preserves append order exactly, so every array consumer sees segments in
-the same order the object path would have yielded them — that ordering is
-what makes the vectorized meter byte-identical to the scalar reference
-(DESIGN.md §13).
+the order they closed — that ordering is what makes the vectorized meter
+byte-identical to the loop-meter oracle (DESIGN.md §13).
 
 :class:`SegmentView` is the lazy compatibility facade: existing callers
 that iterate ``accountant.segments`` still receive ``PowerSegment``

@@ -3,9 +3,9 @@
 A :class:`SweepCell` carries only plain data (dicts, lists, numbers,
 strings), so it pickles across a process boundary and hashes into a
 stable cache key.  :func:`execute_cell` is the pure entry point: it
-reconstitutes the full simulation substrate (via
-:meth:`repro.sim.session.SimSession.from_spec`), runs the cell's
-workload, and returns a :class:`CellResult` of plain data again.
+reconstitutes the full simulation substrate from the cell's params (via
+``_session_from_params``), runs the cell's workload, and returns a
+:class:`CellResult` of plain data again.
 
 Purity contract
 ---------------

@@ -25,7 +25,6 @@ from .events import (
     Timeout,
     Timer,
 )
-from .resources import Resource, Signal, Store
 from .trace import (
     NULL_TRACER,
     JsonlTracer,
@@ -52,12 +51,9 @@ __all__ = [
     "NullTracer",
     "Process",
     "RecordingTracer",
-    "Resource",
     "SessionConfigError",
-    "Signal",
     "SimSession",
     "SimulationError",
-    "Store",
     "Timeout",
     "Timer",
     "TraceRecord",

@@ -98,7 +98,6 @@ class SimSession:
         power_params: Optional["PowerModelParams"] = None,
         tracer: Optional[Tracer] = None,
         keep_segments: bool = True,
-        columnar: bool = True,
         validate: bool = True,
         governor: Optional["Governor"] = None,
         faults: Optional["FaultPlan"] = None,
@@ -145,8 +144,7 @@ class SimSession:
         self.net: "IBNetwork" = IBNetwork(self.env, self.cluster, self.network_spec)
         self.power_model: "PowerModel" = PowerModel(power_params)
         self.accountant: "EnergyAccountant" = EnergyAccountant(
-            self.cluster, self.power_model,
-            keep_segments=keep_segments, columnar=columnar,
+            self.cluster, self.power_model, keep_segments=keep_segments,
         )
         fault_scope = None
         if faults is None:
@@ -180,70 +178,6 @@ class SimSession:
         self.arbiter: Optional["PowerArbiter"] = arbiter
         if arbiter is not None:
             arbiter.bind(self)
-
-    @classmethod
-    def from_spec(cls, spec: dict, tracer: Optional[Tracer] = None) -> "SimSession":
-        """Build a session from one plain (picklable, JSON-able) dict.
-
-        This is the worker-process entry point of the sweep runner: a
-        :class:`~repro.runner.cells.SweepCell` ships only plain data
-        across the process boundary, and the worker reconstitutes the
-        full substrate here.  Recognised keys (all optional):
-
-        * ``cluster`` / ``network`` / ``power`` — ``to_dict()`` forms of
-          :class:`~repro.cluster.specs.ClusterSpec`,
-          :class:`~repro.network.params.NetworkSpec`,
-          :class:`~repro.power.model.PowerModelParams`.
-        * ``governor`` — ``GovernorConfig.to_dict()`` form; a fresh
-          :class:`~repro.runtime.governor.Governor` is built from it.
-        * ``faults`` — ``FaultPlan.to_dict()`` form.
-        * ``arbiter`` — ``ArbiterConfig.to_dict()`` form; a fresh
-          :class:`~repro.runtime.arbiter.PowerArbiter` is built from it.
-        * ``keep_segments`` / ``columnar`` / ``validate`` — booleans, as
-          in ``__init__``.  ``columnar`` selects the energy-accounting
-          backend only (byte-identical results), so like
-          ``NetworkSpec.vectorized`` it never enters cell cache keys.
-        """
-        from ..cluster.specs import ClusterSpec
-        from ..network.params import NetworkSpec
-        from ..power.model import PowerModelParams
-
-        governor = None
-        if spec.get("governor") is not None:
-            from ..runtime.governor import Governor, GovernorConfig
-
-            governor = Governor(GovernorConfig.from_dict(spec["governor"]))
-        faults = None
-        if spec.get("faults") is not None:
-            from ..faults.plan import FaultPlan
-
-            faults = FaultPlan.from_dict(spec["faults"])
-        arbiter = None
-        if spec.get("arbiter") is not None:
-            from ..runtime.arbiter import ArbiterConfig, PowerArbiter
-
-            arbiter = PowerArbiter(ArbiterConfig.from_dict(spec["arbiter"]))
-        return cls(
-            cluster_spec=(
-                ClusterSpec.from_dict(spec["cluster"])
-                if spec.get("cluster") is not None else None
-            ),
-            network_spec=(
-                NetworkSpec.from_dict(spec["network"])
-                if spec.get("network") is not None else None
-            ),
-            power_params=(
-                PowerModelParams.from_dict(spec["power"])
-                if spec.get("power") is not None else None
-            ),
-            tracer=tracer,
-            keep_segments=spec.get("keep_segments", True),
-            columnar=spec.get("columnar", True),
-            validate=spec.get("validate", True),
-            governor=governor,
-            faults=faults,
-            arbiter=arbiter,
-        )
 
     # -- multi-job lifecycle -------------------------------------------------
     def finish_run(self, end: float) -> None:

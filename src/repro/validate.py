@@ -91,18 +91,6 @@ def validate_configuration(
         findings.append(
             Finding("warning", "eager threshold above 1MB is unrealistic")
         )
-    if network.vectorized:
-        from .network.fabric import vector_kernel_available
-
-        if not vector_kernel_available():
-            findings.append(
-                Finding(
-                    "warning",
-                    "numpy unavailable: the fabric falls back to the scalar "
-                    "kernel (identical results, but large cells run several "
-                    "times slower)",
-                )
-            )
     # -- power ---------------------------------------------------------------
     p_fmax = model.full_core_power(cpu.fmax)
     p_fmin = model.full_core_power(cpu.fmin)

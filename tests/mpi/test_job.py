@@ -236,3 +236,30 @@ def test_power_trace_from_result():
     trace = result.power_trace()
     assert len(trace) == 2
     assert trace.power_w[0] == pytest.approx(2300.0, rel=0.01)
+
+
+def test_job_with_a_stuck_rank_fails_naming_it():
+    """A rank parked on an event that never fires used to pass as a rank
+    that finished at t = 0, silently shortening ``duration_s``."""
+    job = MpiJob(8, network_spec=IDEAL_NET)
+    never = job.env.event()
+
+    def program(ctx):
+        yield from ctx.compute(1e-3 * (ctx.rank + 1))
+        if ctx.rank == 3:
+            yield never
+
+    with pytest.raises(RuntimeError, match=r"1 of 8 ranks unfinished: ranks 3\b"):
+        job.run(program)
+
+
+def test_rank_finishing_at_time_zero_is_not_stuck():
+    job = MpiJob(8, network_spec=IDEAL_NET)
+
+    def program(ctx):
+        return ctx.rank
+        yield  # a generator that finishes without advancing time
+
+    result = job.run(program)
+    assert result.duration_s == 0.0
+    assert result.returns == list(range(8))

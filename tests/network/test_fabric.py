@@ -5,8 +5,9 @@ import math
 import pytest
 
 from repro.network import Fabric, NetworkSpec
-from repro.network.fabric import Flow, Link, maxmin_rates
+from repro.network.fabric import Link, maxmin_rates
 from repro.sim import Environment
+from tests.oracles.scalar_fabric import Flow
 
 
 def make_fabric(congestion: float = 0.0):

@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.network import NetworkSpec
-from repro.network.fabric import Fabric, Flow, Link, maxmin_rates
+from repro.network.fabric import Fabric, Link, maxmin_rates
 from repro.sim import Environment
+from tests.oracles.scalar_fabric import Flow, ScalarFabric
 
 
 class _Ev:
@@ -146,10 +147,10 @@ def test_fabric_schedule_deterministic(seeds):
     assert run_once() == run_once()
 
 
-def _schedule_times(seeds, n_links=4, *, incremental=True, tracer=None):
+def _schedule_times(seeds, n_links=4, *, make_fabric=Fabric, tracer=None):
     """Run a fixed multi-link transfer schedule; return completion times."""
     env = Environment(tracer=tracer)
-    fabric = Fabric(env, NetworkSpec(incremental_rerate=incremental))
+    fabric = make_fabric(env, NetworkSpec())
     links = [fabric.add_link(f"l{i}", 1e9) for i in range(n_links)]
     times = []
 
@@ -176,9 +177,13 @@ def _schedule_times(seeds, n_links=4, *, incremental=True, tracer=None):
 @settings(max_examples=40, deadline=None)
 def test_incremental_rerate_matches_full_recompute(seeds):
     """The component-local incremental re-rater is exact: completion times
-    match whole-fabric recomputation on every schedule."""
-    inc, fab_inc = _schedule_times(seeds, incremental=True)
-    full, fab_full = _schedule_times(seeds, incremental=False)
+    match the oracle's whole-fabric recomputation on every schedule."""
+
+    def full_recompute(env, spec):
+        return ScalarFabric(env, spec, full_recompute=True)
+
+    inc, fab_inc = _schedule_times(seeds)
+    full, fab_full = _schedule_times(seeds, make_fabric=full_recompute)
     assert len(inc) == len(full)
     for (i, t_inc), (j, t_full) in zip(sorted(inc), sorted(full)):
         assert i == j

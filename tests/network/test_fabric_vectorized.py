@@ -1,24 +1,21 @@
-"""Differential tests: vector kernel vs scalar oracle, plus regressions
-for the bugs the vectorization PR fixed (zero-rate stall, tight-link
-tolerance at tiny capacities, link_bytes settled at delivery)."""
+"""Differential tests: the production fabric against the scalar oracle
+(``tests/oracles/scalar_fabric.py``) and its two water-fillers against
+each other, plus regressions for the bugs the vectorization fixed
+(zero-rate stall, tight-link tolerance at tiny capacities, link_bytes
+settled at delivery)."""
 
 import math
+from typing import Dict
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.network import NetworkSpec
-from repro.network.fabric import (
-    Fabric,
-    Flow,
-    Link,
-    ScalarFabric,
-    maxmin_rates,
-    vector_kernel_available,
-)
-from repro.network.kernel import VectorFabric, maxmin_rates_vectorized
+from repro.network.fabric import Fabric, Link, maxmin_rates, waterfill
 from repro.sim import Environment
+from tests.oracles.scalar_fabric import Flow, ScalarFabric
 
 
 class _Ev:
@@ -29,38 +26,37 @@ def _close(a, b, rel=1e-9):
     return math.isclose(a, b, rel_tol=rel, abs_tol=1e-12)
 
 
-# ------------------------------------------------------- factory / fallback
-def test_factory_selects_kernel_by_spec():
-    env = Environment()
-    assert isinstance(Fabric(env, NetworkSpec()), VectorFabric)
-    assert isinstance(Fabric(env, NetworkSpec(vectorized=True)), VectorFabric)
-    assert isinstance(
-        Fabric(env, NetworkSpec(vectorized=False)), ScalarFabric
+def maxmin_rates_vectorized(
+    flows, capacities: Dict[Link, float], congestion=0.0, congestion_saturation=7
+):
+    """:func:`maxmin_rates`' signature over flow objects, solved as one
+    :func:`waterfill` segment."""
+    if not flows:
+        return {}
+    link_ids: Dict[Link, int] = {}
+    for flow in flows:
+        for link in flow.links:
+            if link not in link_ids:
+                link_ids[link] = len(link_ids)
+    n_links = len(link_ids)
+    caps = np.empty(n_links)
+    for link, i in link_ids.items():
+        caps[i] = capacities[link]
+    n = len(flows)
+    flow_cap = np.fromiter((f.cap for f in flows), dtype=np.float64, count=n)
+    lens = np.fromiter((len(f.links) for f in flows), dtype=np.int64, count=n)
+    rep_flow = np.repeat(np.arange(n), lens)
+    rep_link = np.fromiter(
+        (link_ids[lk] for f in flows for lk in f.links),
+        dtype=np.int64,
+        count=int(lens.sum()),
     )
-
-
-def test_factory_falls_back_to_scalar_without_numpy(monkeypatch):
-    import repro.network.fabric as fabric_mod
-
-    monkeypatch.setattr(fabric_mod, "vector_kernel_available", lambda: False)
-    env = Environment()
-    assert isinstance(
-        fabric_mod.Fabric(env, NetworkSpec(vectorized=True)), ScalarFabric
+    seg = np.zeros(n, dtype=np.int64)
+    rates = waterfill(
+        n_links, caps, flow_cap, seg, 1, rep_flow, rep_link,
+        congestion, congestion_saturation,
     )
-
-
-def test_vector_kernel_is_available_here():
-    assert vector_kernel_available()
-
-
-def test_vectorized_flag_stays_out_of_cache_keys():
-    # Kernel selection is an execution detail: both kernels produce
-    # identical results, so sweep cells and cache keys must not depend
-    # on it (a warm store primed under either kernel stays valid).
-    d = NetworkSpec(vectorized=False).to_dict()
-    assert "vectorized" not in d
-    assert d == NetworkSpec(vectorized=True).to_dict()
-    assert NetworkSpec.from_dict(d).vectorized is True
+    return {flow: float(rates[i]) for i, flow in enumerate(flows)}
 
 
 # ------------------------------------------- maxmin differential (unit-ish)
@@ -175,12 +171,9 @@ def fabric_scenarios(draw):
     return link_caps, flows, congestion, fault
 
 
-def _run_scenario(vectorized, link_caps, flows, congestion, fault):
+def _run_scenario(kernel, link_caps, flows, congestion, fault):
     env = Environment()
-    fabric = Fabric(
-        env,
-        NetworkSpec(flow_congestion=congestion, vectorized=vectorized),
-    )
+    fabric = kernel(env, NetworkSpec(flow_congestion=congestion))
     links = [fabric.add_link(f"l{i}", cap) for i, cap in enumerate(link_caps)]
     done = {}
 
@@ -217,8 +210,8 @@ def _run_scenario(vectorized, link_caps, flows, congestion, fault):
 @given(fabric_scenarios())
 @settings(max_examples=60, deadline=None)
 def test_full_fabric_runs_identical_across_kernels(scenario):
-    s_done, s_bytes, s_link = _run_scenario(False, *scenario)
-    v_done, v_bytes, v_link = _run_scenario(True, *scenario)
+    s_done, s_bytes, s_link = _run_scenario(ScalarFabric, *scenario)
+    v_done, v_bytes, v_link = _run_scenario(Fabric, *scenario)
     # Per-flow completion times are bit-identical across kernels.
     assert s_done == v_done
     # Aggregate byte counters may differ only by fold-order ulps.
@@ -228,16 +221,39 @@ def test_full_fabric_runs_identical_across_kernels(scenario):
         assert _close(s_link[name], v_link[name], rel=1e-12), name
 
 
+class _AllWaterfill(Fabric):
+    SMALL_BATCH = -1
+
+
+class _AllMaxmin(Fabric):
+    SMALL_BATCH = 10**9
+
+
+@given(fabric_scenarios())
+@settings(max_examples=60, deadline=None)
+def test_filler_regimes_agree_on_whole_runs(scenario):
+    """Every re-rate through numpy ``waterfill`` vs every re-rate through
+    the scalar ``maxmin_rates``: the fabric's two fillers must give the
+    same run bit for bit — no oracle needed."""
+    w_done, w_bytes, w_link = _run_scenario(_AllWaterfill, *scenario)
+    m_done, m_bytes, m_link = _run_scenario(_AllMaxmin, *scenario)
+    assert w_done == m_done
+    assert w_bytes == m_bytes
+    assert w_link == m_link
+
+
 # --------------------------------------------------------- zero-rate stall
-@pytest.mark.parametrize("vectorized", [False, True])
-def test_starved_flow_survives_and_resumes(vectorized):
+def _kernel(oracle):
+    return ScalarFabric if oracle else Fabric
+
+
+@pytest.mark.parametrize("oracle", [False, True])
+def test_starved_flow_survives_and_resumes(oracle):
     """A flow re-rated to zero while a component peer progresses must not
     be dropped (or deadlock the fabric): it parks, survives its peer's
     completion re-rate, and resumes when capacity returns."""
     env = Environment()
-    fabric = Fabric(
-        env, NetworkSpec(flow_congestion=0.0, vectorized=vectorized)
-    )
+    fabric = _kernel(oracle)(env, NetworkSpec(flow_congestion=0.0))
     a = fabric.add_link("a", 1000.0)
     b = fabric.add_link("b", 1000.0)
     done = {}
@@ -274,14 +290,12 @@ def test_starved_flow_survives_and_resumes(vectorized):
     assert not fabric.active_flows
 
 
-@pytest.mark.parametrize("vectorized", [False, True])
-def test_all_flows_zero_rated_is_not_a_deadlock(vectorized):
+@pytest.mark.parametrize("oracle", [False, True])
+def test_all_flows_zero_rated_is_not_a_deadlock(oracle):
     """Historically the scalar kernel raised 'fabric deadlock' when a
     re-rate left every component flow at zero rate."""
     env = Environment()
-    fabric = Fabric(
-        env, NetworkSpec(flow_congestion=0.0, vectorized=vectorized)
-    )
+    fabric = _kernel(oracle)(env, NetworkSpec(flow_congestion=0.0))
     lk = fabric.add_link("l", 100.0)
     done = {}
 
@@ -307,12 +321,10 @@ def test_all_flows_zero_rated_is_not_a_deadlock(vectorized):
 
 
 # ------------------------------------------------ link_bytes at delivery
-@pytest.mark.parametrize("vectorized", [False, True])
-def test_link_bytes_settle_at_delivery_not_at_start(vectorized):
+@pytest.mark.parametrize("oracle", [False, True])
+def test_link_bytes_settle_at_delivery_not_at_start(oracle):
     env = Environment()
-    fabric = Fabric(
-        env, NetworkSpec(flow_congestion=0.0, vectorized=vectorized)
-    )
+    fabric = _kernel(oracle)(env, NetworkSpec(flow_congestion=0.0))
     lk = fabric.add_link("l", 1000.0)
 
     def sender(env, start, nbytes):

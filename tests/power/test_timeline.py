@@ -1,5 +1,6 @@
 """Columnar power timeline: SegmentStore/SegmentView units, the
-columnar-vs-object differential (DESIGN.md §13), and meter regressions."""
+differential against the object accountant and loop meter in
+``tests/oracles/energy.py`` (DESIGN.md §13), and meter regressions."""
 
 import math
 
@@ -17,6 +18,7 @@ from repro.power import (
     SegmentStore,
     SegmentView,
 )
+from tests.oracles.energy import ObjectAccountant, meter_reference
 
 
 # ---------------------------------------------------------------------------
@@ -99,13 +101,11 @@ def _mutation_schedules():
 
 
 def _dual_accountants():
-    """One cluster observed by both backends at once: every mutation
+    """One cluster observed by both accountants at once: every mutation
     notifies the columnar accountant and the object oracle back to back."""
     cluster = Cluster(ClusterSpec.with_shape(1))  # 8 cores
-    columnar = EnergyAccountant(cluster, PowerModel(cached=True),
-                                columnar=True)
-    oracle = EnergyAccountant(cluster, PowerModel(cached=False),
-                              columnar=False)
+    columnar = EnergyAccountant(cluster, PowerModel())
+    oracle = ObjectAccountant(cluster, PowerModel())
     return cluster, columnar, oracle
 
 
@@ -155,8 +155,7 @@ def test_vectorized_meter_matches_reference_on_live_segments(schedule):
     meter = PowerMeter(0.3)
     base_w = columnar.model.params.node_base_w * cluster.n_nodes
     vec = meter.from_segments(columnar.segments, 0.0, end, base_w=base_w)
-    ref = meter.from_segments_reference(oracle.segments, 0.0, end,
-                                        base_w=base_w)
+    ref = meter_reference(meter, oracle.segments, 0.0, end, base_w=base_w)
     assert np.array_equal(vec.times_s, ref.times_s)
     assert np.array_equal(vec.power_w, ref.power_w)
 
@@ -209,7 +208,7 @@ def test_degenerate_fp_sliver_final_bucket_is_merged():
     assert np.isfinite(trace.power_w).all()
     assert trace.times_s[-1] == end
     assert trace.power_w == pytest.approx([100.0, 100.0, 100.0])
-    ref = meter.from_segments_reference(segs, 0.0, end)
+    ref = meter_reference(meter, segs, 0.0, end)
     assert np.array_equal(trace.times_s, ref.times_s)
     assert np.array_equal(trace.power_w, ref.power_w)
 
@@ -224,9 +223,9 @@ def test_true_partial_final_bucket_still_reported():
 
 
 def test_governed_faulted_job_identical_across_backends():
-    """End to end: a countdown-governed, fault-perturbed job produces the
-    same makespan, energy, segment log and sampled trace on both
-    accounting backends."""
+    """End to end: one countdown-governed, fault-perturbed job observed by
+    the production accountant and the object oracle as two listeners on
+    one cluster — same energy, segment log and sampled trace."""
     from repro.faults.plan import parse_fault_spec
     from repro.mpi.job import MpiJob
     from repro.runtime.governor import (
@@ -235,48 +234,45 @@ def test_governed_faulted_job_identical_across_backends():
         GovernorPolicy,
     )
 
-    def run(columnar):
-        job = MpiJob(
-            32,
-            cluster_spec=ClusterSpec.with_shape(4),
-            governor=Governor(
-                GovernorConfig(policy=GovernorPolicy.COUNTDOWN)
-            ),
-            faults=parse_fault_spec(
-                "degrade:factor=0.6,frac=0.25;"
-                "noise:period=500us,pulse=20us,frac=0.25",
-                seed=3,
-            ),
-            columnar=columnar,
-        )
+    job = MpiJob(
+        32,
+        cluster_spec=ClusterSpec.with_shape(4),
+        governor=Governor(GovernorConfig(policy=GovernorPolicy.COUNTDOWN)),
+        faults=parse_fault_spec(
+            "degrade:factor=0.6,frac=0.25;"
+            "noise:period=500us,pulse=20us,frac=0.25",
+            seed=3,
+        ),
+    )
+    oracle = ObjectAccountant(job.cluster, PowerModel())
 
-        def program(ctx):
-            yield from ctx.alltoall(8 << 10)
+    def program(ctx):
+        yield from ctx.alltoall(8 << 10)
 
-        return job.run(program)
-
-    col = run(columnar=True)
-    obj = run(columnar=False)
-    assert col.duration_s == obj.duration_s
-    assert col.energy_j == obj.energy_j
-    assert isinstance(col.accountant.segments, SegmentView)
-    assert col.accountant.segments == list(obj.accountant.segments)
+    col = job.run(program).accountant
+    oracle.finalize(col.finalized_at)
+    assert col.segments  # the governor and faults really moved core state
+    assert col.total_energy_j() == oracle.total_energy_j()
+    for core in job.cluster.cores:
+        assert col.core_energy_j(core.core_id) == \
+            oracle.core_energy_j(core.core_id)
+    assert isinstance(col.segments, SegmentView)
+    assert col.segments == list(oracle.segments)
     meter = PowerMeter(1e-3)
-    base_w = (col.accountant.model.params.node_base_w
-              * col.accountant.cluster.n_nodes)
-    vec = meter.sample(col.accountant)
-    ref = meter.from_segments_reference(
-        obj.accountant.segments, 0.0, obj.accountant.finalized_at,
-        base_w=base_w,
+    base_w = col.model.params.node_base_w * col.cluster.n_nodes
+    vec = meter.sample(col)
+    ref = meter_reference(
+        meter, oracle.segments, 0.0, oracle.finalized_at, base_w=base_w
     )
     assert np.array_equal(vec.times_s, ref.times_s)
     assert np.array_equal(vec.power_w, ref.power_w)
 
 
-@pytest.mark.parametrize("columnar", [True, False])
-def test_sample_without_segments_raises_clear_error(columnar):
+@pytest.mark.parametrize("oracle", [False, True])
+def test_sample_without_segments_raises_clear_error(oracle):
     cluster = Cluster(ClusterSpec.with_shape(1))
-    acct = EnergyAccountant(cluster, keep_segments=False, columnar=columnar)
+    accountant = ObjectAccountant if oracle else EnergyAccountant
+    acct = accountant(cluster, keep_segments=False)
     acct.finalize(2.0)
     with pytest.raises(ValueError, match="keep_segments"):
         PowerMeter(0.5).sample(acct)

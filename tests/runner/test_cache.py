@@ -1,5 +1,6 @@
 """Content-addressed cache: key derivation and the on-disk store."""
 
+import hashlib
 import json
 
 from repro.runner import (
@@ -9,7 +10,7 @@ from repro.runner import (
     cache_key,
     environment_signature,
 )
-from repro.runner.cache import CACHE_SCHEMA
+from repro.runner.cache import CACHE_SCHEMA, _canonical
 
 
 def _cell(experiment="test", label="", **overrides):
@@ -52,6 +53,34 @@ def test_environment_signature_pins_testbed_and_schema():
     # of these must invalidate old entries.
     assert set(sig) >= {"version", "cluster", "network", "power"}
     json.dumps(sig)  # must itself be canonicalisable
+
+
+def test_environment_signature_is_pinned():
+    """Literal digest, not a within-process stability check: a refactor
+    that changes any implicit input's dict form (e.g. drops a key from
+    ``NetworkSpec.to_dict()``) orphans every cached cell, and must bump
+    ``CACHE_SCHEMA`` and re-pin here instead of slipping through."""
+    payload = _canonical(environment_signature()).encode("utf-8")
+    assert hashlib.sha256(payload).hexdigest() == (
+        "c14c79180510023343fda357da03b2fbb5de38cb8b2e7772388a670a4b70c163"
+    )
+
+
+def test_every_registered_plan_keeps_its_cell_keys():
+    """The keys of all cells of all registered plans, in ``sorted(CELL_PLANS)``
+    order and plan order, hash to a pinned digest (232 keys, 165 unique)."""
+    from repro.bench import CELL_PLANS
+
+    keys = [
+        cache_key(cell)
+        for name in sorted(CELL_PLANS)
+        for cell in CELL_PLANS[name]().cells
+    ]
+    assert (len(keys), len(set(keys))) == (232, 165)
+    digest = hashlib.sha256("\n".join(keys).encode("utf-8")).hexdigest()
+    assert digest == (
+        "2058582f47d29dc1ef0993bf514d413583d3855c045ed4d7a2138c399319b7c2"
+    )
 
 
 # -- the disk store ---------------------------------------------------
