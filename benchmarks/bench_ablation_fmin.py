@@ -1,14 +1,14 @@
 """Ablation: DVFS target-frequency sweep — is the paper's "minimum
 possible frequency" (§V) actually the energy-optimal choice?"""
 
-from repro.bench import ablation_fmin_sweep
+from repro.bench.experiments import plan_ablation_fmin
 
 
 def test_ablation_fmin_sweep(report):
     headers, rows = report(
         "ablation_fmin_sweep",
         "Ablation - DVFS target frequency vs energy (alltoall 1MB, 64p)",
-        ablation_fmin_sweep,
+        plan_ablation_fmin(),
         chart=dict(
             y_columns=[3],
             labels=["energy (J)"],

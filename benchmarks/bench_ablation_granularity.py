@@ -1,14 +1,14 @@
 """Ablation (paper §V-B discussion): socket-granular throttling (the
 Nehalem testbed) vs core-granular (future architectures)."""
 
-from repro.bench import ablation_throttle_granularity
+from repro.bench.experiments import plan_ablation_granularity
 
 
 def test_ablation_granularity(report):
     headers, rows = report(
         "ablation_granularity",
         "Ablation - throttle granularity under the Proposed schemes",
-        ablation_throttle_granularity,
+        plan_ablation_granularity(),
     )
     by_key = {(r[0], r[1]): r for r in rows}
     for op in ("bcast", "alltoall"):

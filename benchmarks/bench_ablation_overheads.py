@@ -1,14 +1,14 @@
 """Ablation (paper §VI-A2): sensitivity of the proposed alltoall to the
 DVFS / T-state transition cost (2·Odvfs + N·Othrottle overhead term)."""
 
-from repro.bench import ablation_transition_overheads
+from repro.bench.experiments import plan_ablation_overheads
 
 
 def test_ablation_overheads(report):
     headers, rows = report(
         "ablation_overheads",
         "Ablation - proposed alltoall vs transition overhead",
-        ablation_transition_overheads,
+        plan_ablation_overheads(),
     )
     latencies = [row[1] for row in rows]
     # Latency grows monotonically with the transition cost...

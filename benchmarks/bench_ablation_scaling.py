@@ -1,14 +1,14 @@
 """Ablation: proposed-alltoall behaviour across cluster sizes (eq. 3's
 linear-in-N overhead, size-independent power saving)."""
 
-from repro.bench import ablation_cluster_scaling
+from repro.bench.experiments import plan_ablation_scaling
 
 
 def test_ablation_cluster_scaling(report):
     headers, rows = report(
         "ablation_cluster_scaling",
         "Ablation - proposed alltoall vs cluster size (256KB)",
-        ablation_cluster_scaling,
+        plan_ablation_scaling(),
     )
     savings = [row[5] for row in rows]
     # Power saving is roughly size-independent (within a few points).

@@ -7,7 +7,7 @@ job (archived under a ``_quick`` name, so no baseline comparison).
 
 import os
 
-from repro.bench import extension_adaptive_policy
+from repro.bench.experiments import plan_ext_adaptive
 
 QUICK = bool(os.environ.get("REPRO_BENCH_QUICK"))
 
@@ -17,8 +17,7 @@ def test_extension_adaptive_policy(report):
     headers, rows = report(
         "ext_adaptive_policy" + ("_quick" if QUICK else ""),
         "Extension - adaptive per-call policy (mixed-size alltoalls)",
-        extension_adaptive_policy,
-        **kwargs,
+        plan_ext_adaptive(**kwargs),
     )
     by_scheme = {r[0]: r for r in rows}
     # Adaptive lands at (or below) the best static energy.

@@ -24,11 +24,8 @@ never compare against the full-sweep baselines.
 import json
 import os
 
-import pytest
-
-from repro.bench import extension_power_arbiter, use_runner
 from repro.bench.experiments import ARBITER_CAP_PER_NODE_W, plan_ext_arbiter
-from repro.runner import SweepStats, execute_cell, resolve_jobs
+from repro.runner import execute_cell
 
 QUICK = bool(os.environ.get("REPRO_BENCH_QUICK"))
 SUFFIX = "_quick" if QUICK else ""
@@ -48,24 +45,12 @@ N_NODES = SCENARIO["n_nodes"]
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "results")
 
 
-@pytest.fixture(autouse=True)
-def _runner_sweep(request, capsys):
-    """Every sweep rides the cell runner: ``REPRO_JOBS`` shards cells
-    across the warm-worker pool (the CI smoke job sets ``REPRO_JOBS=2``)
-    and the sweep accounting prints next to the benchmark numbers."""
-    stats = SweepStats(experiment=request.node.name)
-    with use_runner(jobs=resolve_jobs(None, default=1), stats=stats):
-        yield
-    with capsys.disabled():
-        print(f"\n  {stats.one_line()}")
-
-
-def test_ext_arbiter_policies(report):
+def test_ext_arbiter_policies(report, sweep_stats):
     headers, rows = report(
         f"ext_arbiter{SUFFIX}",
         "Extension - cluster power-budget arbiter (two co-scheduled jobs)",
-        extension_power_arbiter,
-        **SCENARIO,
+        plan_ext_arbiter(**SCENARIO),
+        stats=sweep_stats,
     )
     by_scheme = {r[0]: r for r in rows}
     no_cap = by_scheme["no-cap"]

@@ -13,36 +13,20 @@ never compare against full-sweep baselines.
 
 import os
 
-import pytest
-
-from repro.bench import extension_faults_governor, use_runner
-from repro.runner import SweepStats, resolve_jobs
+from repro.bench import run_plan
+from repro.bench.experiments import plan_ext_faults
 
 QUICK = bool(os.environ.get("REPRO_BENCH_QUICK"))
 SUFFIX = "_quick" if QUICK else ""
 
 
-@pytest.fixture(autouse=True)
-def _runner_sweep(request, capsys):
-    """Every sweep rides the cell runner: ``REPRO_JOBS`` shards cells
-    across the warm-worker pool (the CI fault-smoke step sets
-    ``REPRO_JOBS=2``) and the sweep accounting prints next to the
-    benchmark numbers."""
-    stats = SweepStats(experiment=request.node.name)
-    with use_runner(jobs=resolve_jobs(None, default=1), stats=stats):
-        yield
-    with capsys.disabled():
-        print(f"\n  {stats.one_line()}")
-
-
-def test_ext_faults_governor(report):
+def test_ext_faults_governor(report, sweep_stats):
     sizes = (256 << 10,) if QUICK else (256 << 10, 1 << 20)
     headers, rows = report(
         f"ext_faults_governor{SUFFIX}",
         "Extension - governor policies under fault injection",
-        extension_faults_governor,
-        sizes=sizes,
-        iterations=2 if QUICK else 3,
+        plan_ext_faults(sizes=sizes, iterations=2 if QUICK else 3),
+        stats=sweep_stats,
     )
     for size in {r[0] for r in rows}:
         by = {(r[1], r[2]): r for r in rows if r[0] == size}
@@ -68,10 +52,10 @@ def test_ext_faults_governor(report):
         assert by[("mild", "No-Power")][4] > by[("quiet", "No-Power")][4]
 
 
-def test_ext_faults_determinism():
+def test_ext_faults_determinism(sweep_stats):
     """Two identical sweeps under the same seed are byte-for-byte equal
     (every float in every row — events, energy, drops)."""
     kwargs = dict(sizes=(64 << 10,), iterations=1 if QUICK else 2, seed=11)
-    _, rows_a, _ = extension_faults_governor(**kwargs)
-    _, rows_b, _ = extension_faults_governor(**kwargs)
+    (_, rows_a, _), _ = run_plan(plan_ext_faults(**kwargs), stats=sweep_stats)
+    (_, rows_b, _), _ = run_plan(plan_ext_faults(**kwargs), stats=sweep_stats)
     assert rows_a == rows_b

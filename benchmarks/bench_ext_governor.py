@@ -10,40 +10,23 @@ they never compare against the full-sweep baselines.
 
 import os
 
-import pytest
-
-from repro.bench import (
-    extension_governor_alltoall,
-    extension_governor_apps,
-    extension_governor_mixed,
-    use_runner,
+from repro.bench.experiments import (
+    plan_ext_governor_alltoall,
+    plan_ext_governor_apps,
+    plan_ext_governor_mixed,
 )
-from repro.runner import SweepStats, resolve_jobs
 
 QUICK = bool(os.environ.get("REPRO_BENCH_QUICK"))
 SUFFIX = "_quick" if QUICK else ""
 
 
-@pytest.fixture(autouse=True)
-def _runner_sweep(request, capsys):
-    """Every sweep rides the cell runner: ``REPRO_JOBS`` shards cells
-    across the warm-worker pool (the CI smoke job sets ``REPRO_JOBS=2``)
-    and the sweep accounting prints next to the benchmark numbers."""
-    stats = SweepStats(experiment=request.node.name)
-    with use_runner(jobs=resolve_jobs(None, default=1), stats=stats):
-        yield
-    with capsys.disabled():
-        print(f"\n  {stats.one_line()}")
-
-
-def test_ext_governor_alltoall(report):
+def test_ext_governor_alltoall(report, sweep_stats):
     sizes = (256 << 10,) if QUICK else (64 << 10, 256 << 10, 1 << 20)
     headers, rows = report(
         f"ext_governor_alltoall{SUFFIX}",
         "Extension - online governor vs static schemes (OSU alltoall)",
-        extension_governor_alltoall,
-        sizes=sizes,
-        iterations=2 if QUICK else 3,
+        plan_ext_governor_alltoall(sizes=sizes, iterations=2 if QUICK else 3),
+        stats=sweep_stats,
     )
     for size in {r[0] for r in rows}:
         by_scheme = {r[1]: r for r in rows if r[0] == size}
@@ -56,13 +39,13 @@ def test_ext_governor_alltoall(report):
         assert countdown[3] < no_power[3]
 
 
-def test_ext_governor_mixed(report):
+def test_ext_governor_mixed(report, sweep_stats):
     sizes = (64 << 10, 256 << 10) if QUICK else (16 << 10, 64 << 10, 256 << 10, 1 << 20)
     headers, rows = report(
         f"ext_governor_mixed{SUFFIX}",
         "Extension - governor vs ADAPTIVE (mixed-size workload)",
-        extension_governor_mixed,
-        sizes=sizes,
+        plan_ext_governor_mixed(sizes=sizes),
+        stats=sweep_stats,
     )
     by_scheme = {r[0]: r for r in rows}
     # ISSUE acceptance: predictive matches or beats the static ADAPTIVE
@@ -74,12 +57,12 @@ def test_ext_governor_mixed(report):
     assert by_scheme["Countdown"][1] <= by_scheme["No-Power"][1] * 1.02
 
 
-def test_ext_governor_apps(report):
+def test_ext_governor_apps(report, sweep_stats):
     headers, rows = report(
         f"ext_governor_apps{SUFFIX}",
         "Extension - governor on application traces (CPMD / NAS)",
-        extension_governor_apps,
-        include_nas=not QUICK,
+        plan_ext_governor_apps(include_nas=not QUICK),
+        stats=sweep_stats,
     )
     for app in {r[0] for r in rows}:
         by_scheme = {r[1]: r for r in rows if r[0] == app}

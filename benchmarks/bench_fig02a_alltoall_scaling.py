@@ -1,14 +1,14 @@
 """Figure 2(a): Alltoall scalability, 32 processes, 4-way vs 8-way layout
 plus the equation-(1) theoretical estimate."""
 
-from repro.bench import fig2a_alltoall_scaling
+from repro.bench.experiments import plan_fig2a
 
 
 def test_fig02a_alltoall_scaling(report):
     headers, rows = report(
         "fig02a_alltoall_scaling",
         "Fig 2(a) - Alltoall 32 procs: 4-way vs 8-way vs theoretical",
-        fig2a_alltoall_scaling,
+        plan_fig2a(),
         chart=dict(
             y_columns=[1, 2, 3],
             labels=["4-way", "8-way", "theoretical"],

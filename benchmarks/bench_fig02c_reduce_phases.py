@@ -1,13 +1,13 @@
 """Figure 2(c): Reduce overall time vs network-phase time, 64 processes."""
 
-from repro.bench import fig2c_reduce_phases
+from repro.bench.experiments import plan_fig2c
 
 
 def test_fig02c_reduce_phases(report):
     headers, rows = report(
         "fig02c_reduce_phases",
         "Fig 2(c) - Reduce overall vs network phase (64 procs)",
-        fig2c_reduce_phases,
+        plan_fig2c(),
     )
     # Network phase is a substantial share across the 4B-4K sweep.
     for row in rows:

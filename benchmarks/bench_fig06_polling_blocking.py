@@ -1,14 +1,14 @@
 """Figure 6: polling vs blocking message progression, 64-process alltoall
 — (a) latency sweep, (b) sampled power timeline."""
 
-from repro.bench import fig6a_polling_vs_blocking, fig6b_power_timeline
+from repro.bench.experiments import plan_fig6a, plan_fig6b
 
 
 def test_fig06a_latency(report):
     headers, rows = report(
         "fig06a_polling_blocking_latency",
         "Fig 6(a) - Alltoall 64 procs: polling vs blocking latency",
-        fig6a_polling_vs_blocking,
+        plan_fig6a(),
         chart=dict(
             y_columns=[1, 2],
             labels=["Polling", "Blocking"],
@@ -26,7 +26,7 @@ def test_fig06b_power(report):
     headers, rows = report(
         "fig06b_polling_blocking_power",
         "Fig 6(b) - Alltoall 64 procs: polling vs blocking power",
-        fig6b_power_timeline,
+        plan_fig6b(),
     )
     assert rows, "power timeline must contain samples"
     # Blocking draws less power than polling at each sample (cores sleep).

@@ -1,14 +1,14 @@
 """Figure 7: MPI_Alltoall under No-Power / Freq-Scaling / Proposed,
 64 processes — (a) latency sweep, (b) sampled power timeline."""
 
-from repro.bench import fig7a_alltoall_latency, fig7b_alltoall_power
+from repro.bench.experiments import plan_fig7a, plan_fig7b
 
 
 def test_fig07a_latency(report):
     headers, rows = report(
         "fig07a_alltoall_latency",
         "Fig 7(a) - Alltoall 64 procs: latency under the three schemes",
-        fig7a_alltoall_latency,
+        plan_fig7a(),
         chart=dict(
             y_columns=[1, 2, 3],
             labels=["No-Power", "Freq-Scaling", "Proposed"],
@@ -27,7 +27,7 @@ def test_fig07b_power(report):
     headers, rows = report(
         "fig07b_alltoall_power",
         "Fig 7(b) - Alltoall 64 procs: power under the three schemes",
-        fig7b_alltoall_power,
+        plan_fig7b(),
         chart=dict(
             y_columns=[1, 2, 3],
             labels=["No-Power", "Freq-Scaling", "Proposed"],

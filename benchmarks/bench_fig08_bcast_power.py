@@ -1,14 +1,14 @@
 """Figure 8: MPI_Bcast under No-Power / Freq-Scaling / Proposed,
 64 processes — (a) latency sweep, (b) sampled power timeline."""
 
-from repro.bench import fig8a_bcast_latency, fig8b_bcast_power
+from repro.bench.experiments import plan_fig8a, plan_fig8b
 
 
 def test_fig08a_latency(report):
     headers, rows = report(
         "fig08a_bcast_latency",
         "Fig 8(a) - Bcast 64 procs: latency under the three schemes",
-        fig8a_bcast_latency,
+        plan_fig8a(),
         chart=dict(
             y_columns=[1, 2, 3],
             labels=["No-Power", "Freq-Scaling", "Proposed"],
@@ -26,7 +26,7 @@ def test_fig08b_power(report):
     headers, rows = report(
         "fig08b_bcast_power",
         "Fig 8(b) - Bcast 64 procs: power under the three schemes",
-        fig8b_bcast_power,
+        plan_fig8b(),
     )
     mid = rows[len(rows) // 2]
     assert mid[1] > mid[2] > mid[3]

@@ -1,14 +1,14 @@
 """Figure 9: CPMD execution time and alltoall time, 32/64 processes,
 three datasets, under the three schemes."""
 
-from repro.bench import fig9_cpmd_performance
+from repro.bench.experiments import plan_fig9
 
 
 def test_fig09_cpmd(report):
     headers, rows = report(
         "fig09_cpmd_performance",
         "Fig 9 - CPMD: total and alltoall time (strong scaling)",
-        fig9_cpmd_performance,
+        plan_fig9(),
     )
     by_key = {(r[0], r[1], r[2]): r for r in rows}
     for dataset in ("cpmd.wat-32-inp-1", "cpmd.wat-32-inp-2", "cpmd.ta-inp-md"):

@@ -1,13 +1,13 @@
 """Figure 10: NAS FT and IS (class C) execution and alltoall time."""
 
-from repro.bench import fig10_nas_performance
+from repro.bench.experiments import plan_fig10
 
 
 def test_fig10_nas(report):
     headers, rows = report(
         "fig10_nas_performance",
         "Fig 10 - NAS FT/IS class C: total and alltoall time",
-        fig10_nas_performance,
+        plan_fig10(),
     )
     by_key = {(r[0], r[1], r[2]): r for r in rows}
     for kernel in ("nas-ft.C", "nas-is.C"):

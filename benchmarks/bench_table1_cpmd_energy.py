@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bench import table1_cpmd_energy
+from repro.bench.experiments import plan_table1
 
 #: Paper Table I values (kJ): dataset → {ranks: (default, freq, proposed)}.
 PAPER_TABLE1 = {
@@ -16,7 +16,7 @@ def test_table1_cpmd_energy(report):
     headers, rows = report(
         "table1_cpmd_energy",
         "Table I - CPMD power statistics (kJ)",
-        table1_cpmd_energy,
+        plan_table1(),
     )
     for dataset, procs, default, freq, proposed in rows:
         paper = PAPER_TABLE1[dataset][procs]

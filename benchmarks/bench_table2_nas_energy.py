@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bench import table2_nas_energy
+from repro.bench.experiments import plan_table2
 
 #: Paper Table II values (kJ): kernel → {ranks: (default, freq, proposed)}.
 PAPER_TABLE2 = {
@@ -15,7 +15,7 @@ def test_table2_nas_energy(report):
     headers, rows = report(
         "table2_nas_energy",
         "Table II - NAS power statistics (kJ)",
-        table2_nas_energy,
+        plan_table2(),
     )
     for kernel, procs, default, freq, proposed in rows:
         paper = PAPER_TABLE2[kernel][procs]

@@ -29,7 +29,18 @@ from .nas_ft import NAS_FT
 from .nas_is import NAS_IS
 from .trace import ComputeEvent, app_from_trace
 
+#: Application name → spec: the one app registry (``repro app`` choices
+#: and the ``app`` parameter of app cells).
+APPS = {
+    "nas-ft": NAS_FT,
+    "nas-is": NAS_IS,
+    "cpmd-wat1": CPMD_WAT32_INP1,
+    "cpmd-wat2": CPMD_WAT32_INP2,
+    "cpmd-ta": CPMD_TA_INP_MD,
+}
+
 __all__ = [
+    "APPS",
     "AppResult",
     "AppSpec",
     "CPMD_DATASETS",

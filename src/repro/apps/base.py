@@ -168,6 +168,8 @@ def run_app(
     ``faults`` (a :class:`repro.faults.FaultPlan`) perturbs the run — the
     app's compute phases pay straggler/OS-noise costs through
     ``ctx.compute`` and its alltoalls see any injected link degradation.
+    ``job_kwargs`` reach :class:`~repro.mpi.job.MpiJob`, e.g. a
+    ``governor`` or an ``arbiter`` enforcing a power cap.
     """
     profile = app.profile(n_ranks)
     if cluster_spec is None:

@@ -1,4 +1,5 @@
-"""Experiment harness: one function per paper table/figure + reporting."""
+"""Experiment harness: one cell plan per paper table/figure, run by
+:func:`run_plan`, plus reporting."""
 
 from .experiments import (
     CELL_PLANS,
@@ -9,37 +10,9 @@ from .experiments import (
     MODE_LABELS,
     MODES,
     POWER_FIG_SIZES,
-    ablation_cluster_scaling,
-    ablation_fmin_sweep,
-    ablation_throttle_granularity,
-    ablation_transition_overheads,
-    alltoallv_power,
-    extension_adaptive_policy,
-    extension_faults_governor,
-    extension_governor_alltoall,
-    extension_governor_apps,
-    extension_governor_mixed,
-    extension_power_arbiter,
-    extension_rack_topology,
-    fig2a_alltoall_scaling,
-    fig2b_bcast_phases,
-    fig2c_reduce_phases,
-    fig6a_polling_vs_blocking,
-    fig6b_power_timeline,
-    fig7a_alltoall_latency,
-    fig7b_alltoall_power,
-    fig8a_bcast_latency,
-    fig8b_bcast_power,
-    fig9_cpmd_performance,
-    fig10_nas_performance,
-    models_validation,
-    run_collective_loop,
-    RunnerScope,
     SweepPlan,
     instrument_cells,
-    table1_cpmd_energy,
-    table2_nas_energy,
-    use_runner,
+    run_plan,
 )
 from .export import experiment_to_dict, load_json, save_governor_json, save_json
 from .profile import JobSample, SelfProfile
@@ -61,49 +34,21 @@ __all__ = [
     "MODES",
     "MODE_LABELS",
     "POWER_FIG_SIZES",
-    "ablation_cluster_scaling",
-    "ablation_fmin_sweep",
-    "ablation_throttle_granularity",
-    "ablation_transition_overheads",
-    "alltoallv_power",
-    "extension_adaptive_policy",
-    "extension_faults_governor",
-    "extension_governor_alltoall",
-    "extension_governor_apps",
-    "extension_governor_mixed",
-    "extension_power_arbiter",
-    "extension_rack_topology",
     "RegressionError",
     "bytes_label",
     "check_against_baseline",
     "experiment_to_dict",
-    "fig2a_alltoall_scaling",
-    "fig2b_bcast_phases",
-    "fig2c_reduce_phases",
-    "fig6a_polling_vs_blocking",
-    "fig6b_power_timeline",
-    "fig7a_alltoall_latency",
-    "fig7b_alltoall_power",
-    "fig8a_bcast_latency",
-    "fig8b_bcast_power",
-    "fig9_cpmd_performance",
-    "fig10_nas_performance",
     "format_table",
     "instrument_cells",
     "JobSample",
     "load_json",
     "SelfProfile",
     "refresh_baselines",
-    "models_validation",
     "render_experiment",
     "render_sweep_report",
-    "run_collective_loop",
-    "RunnerScope",
+    "run_plan",
     "save_governor_json",
     "save_json",
     "save_report",
     "SweepPlan",
-    "table1_cpmd_energy",
-    "table2_nas_energy",
-    "use_runner",
 ]

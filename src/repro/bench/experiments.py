@@ -1,40 +1,27 @@
-"""Experiment implementations for every table and figure in the paper.
+"""Cell plans for every table and figure in the paper, and their runner.
 
-Each ``fig*``/``table*`` function runs the relevant simulations and
-returns ``(headers, rows, notes)`` ready for
-:func:`repro.bench.report.render_experiment`.  The ``benchmarks/``
-directory wraps each one in a pytest-benchmark target; EXPERIMENTS.md
-records the outcomes.
-
-Cell decomposition
-------------------
-Every experiment is expressed as a :class:`SweepPlan`: a ``plan_*``
+Every experiment is a :class:`SweepPlan`: a documented ``plan_*``
 function produces the list of independent
 :class:`~repro.runner.cells.SweepCell` simulation points plus an
-``assemble`` closure that folds their results back into the table rows.
-The public experiment functions keep their exact signatures and run the
-plan through :func:`repro.runner.run_cells`, so they inherit parallel
-execution and result caching whenever the caller configures them (see
-:func:`use_runner`; the CLI's ``--jobs`` / ``--cache-dir`` flags do).
-:data:`CELL_PLANS` maps CLI experiment names to default plan producers.
+``assemble`` closure that folds their results into the finished
+``(headers, rows, notes)`` table for
+:func:`repro.bench.report.render_experiment`.  :data:`CELL_PLANS` maps
+each experiment name to its plan producer — the one registry the CLI's
+``repro experiment``, campaigns and the ``benchmarks/`` targets all
+read — and :func:`run_plan` is the one way to run a plan: through
+:func:`repro.runner.run_cells`, so every experiment inherits parallel
+execution and result caching from its caller's ``jobs``/``cache``
+arguments.  EXPERIMENTS.md records the outcomes.
 """
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..apps import (
-    CPMD_DATASETS,
-    CPMD_TA_INP_MD,
-    CPMD_WAT32_INP1,
-    CPMD_WAT32_INP2,
-    NAS_FT,
-    NAS_IS,
-)
+from ..apps import APPS
 from ..cluster.specs import ClusterSpec, CpuSpec, NodeSpec, ThrottleGranularity
-from ..collectives.registry import CollectiveConfig, CollectiveEngine, PowerMode
+from ..collectives.registry import PowerMode
 from ..models import (
     ModelParams,
     t_alltoall_pairwise,
@@ -42,7 +29,6 @@ from ..models import (
     t_bcast_power_aware,
     t_bcast_scatter_allgather,
 )
-from ..mpi.job import JobResult, MpiJob
 from ..mpi.p2p import ProgressMode
 from ..runner import CellResult, SweepCell, run_cells
 from .report import bytes_label
@@ -63,36 +49,9 @@ MODE_LABELS = {
     PowerMode.PROPOSED: "Proposed",
 }
 
-
-def _engine(mode: PowerMode) -> CollectiveEngine:
-    return CollectiveEngine(CollectiveConfig(power_mode=mode))
-
-
-def run_collective_loop(
-    op: str,
-    nbytes: int,
-    n_ranks: int,
-    mode: PowerMode = PowerMode.NONE,
-    iterations: int = 1,
-    progress: ProgressMode = ProgressMode.POLLING,
-    cluster_spec: Optional[ClusterSpec] = None,
-    keep_segments: bool = True,
-) -> JobResult:
-    """Run ``iterations`` back-to-back collectives (the OSU benchmark
-    loop of §VII-B) and return the job result."""
-    job = MpiJob(
-        n_ranks,
-        cluster_spec=cluster_spec,
-        collectives=_engine(mode),
-        progress=progress,
-        keep_segments=keep_segments,
-    )
-
-    def program(ctx):
-        for _ in range(iterations):
-            yield from getattr(ctx, op)(nbytes)
-
-    return job.run(program)
+#: :data:`repro.apps.APPS` keys of the paper's application datasets.
+CPMD_APPS = ("cpmd-wat1", "cpmd-wat2", "cpmd-ta")
+NAS_APPS = ("nas-ft", "nas-is")
 
 
 def _mean_latency_us(result, iterations: int) -> float:
@@ -100,79 +59,14 @@ def _mean_latency_us(result, iterations: int) -> float:
 
 
 # =====================================================================
-# Sweep plans: cells + assembly
+# Sweep plans and the one plan runner
 # =====================================================================
 @dataclass
 class SweepPlan:
-    """An experiment as data: independent cells + a fold to table rows."""
+    """An experiment as data: independent cells + a fold to the table."""
 
     cells: List[SweepCell]
     assemble: Callable[[List[CellResult]], Tuple[List, List, str]]
-
-
-@dataclass
-class RunnerScope:
-    """Ambient runner configuration installed by :func:`use_runner`.
-
-    ``governor``/``faults`` are plain-data configs (``to_dict()`` form)
-    overlaid onto every plan cell that does not already pin its own —
-    the CLI's ``--governor``/``--faults`` flags become *plan parameters*
-    this way, so instrumented sweeps flow through the exact same cached
-    parallel path as everything else.  The per-run report dicts harvested
-    from the overlaid cells accumulate on ``governor_reports`` /
-    ``fault_reports`` (they round-trip the result cache, so a warm-cache
-    rerun reports identically to a cold one).
-    """
-
-    jobs: Optional[int] = None
-    cache: Any = None
-    refresh: bool = False
-    stats: Any = None
-    governor: Optional[Dict[str, Any]] = None
-    faults: Optional[Dict[str, Any]] = None
-    arbiter: Optional[Dict[str, Any]] = None
-    #: True while a use_runner scope is live; report collection only
-    #: happens then (library callers never accumulate unbounded lists).
-    collect: bool = False
-    governor_reports: List[Dict[str, Any]] = None  # type: ignore[assignment]
-    fault_reports: List[Dict[str, Any]] = None  # type: ignore[assignment]
-    arbiter_reports: List[Dict[str, Any]] = None  # type: ignore[assignment]
-
-    def __post_init__(self):
-        if self.governor_reports is None:
-            self.governor_reports = []
-        if self.fault_reports is None:
-            self.fault_reports = []
-        if self.arbiter_reports is None:
-            self.arbiter_reports = []
-
-
-_RUNNER_SCOPE = RunnerScope()
-
-
-@contextlib.contextmanager
-def use_runner(jobs=None, cache=None, refresh: bool = False, stats=None,
-               governor: Optional[Dict[str, Any]] = None,
-               faults: Optional[Dict[str, Any]] = None,
-               arbiter: Optional[Dict[str, Any]] = None):
-    """Route every experiment run inside the scope through the parallel
-    executor / result cache with these settings.
-
-    Yields the :class:`RunnerScope`; after the body ran, its
-    ``governor_reports``/``fault_reports``/``arbiter_reports`` hold the
-    per-run report dicts of every cell the ``governor``/``faults``/
-    ``arbiter`` overlays touched.
-    """
-    global _RUNNER_SCOPE
-    prev = _RUNNER_SCOPE
-    scope = RunnerScope(jobs=jobs, cache=cache, refresh=refresh, stats=stats,
-                        governor=governor, faults=faults, arbiter=arbiter,
-                        collect=True)
-    _RUNNER_SCOPE = scope
-    try:
-        yield scope
-    finally:
-        _RUNNER_SCOPE = prev
 
 
 def instrument_cells(
@@ -186,11 +80,10 @@ def instrument_cells(
     A cell whose params already carry a ``governor``/``faults``/
     ``arbiter`` key keeps it — plan-declared instrumentation
     (ext-governor's policy grid, ext-faults' mild column, ext-arbiter's
-    policy columns) always wins over the CLI flags, matching the old
-    ambient-scope precedence where an explicit config bypassed the
-    scope.  Returns the (possibly rebuilt) cells plus the index tuples
-    of cells that received each overlay, so the caller can harvest
-    exactly those reports.
+    policy columns) always wins over the CLI flags.  Returns the
+    (possibly rebuilt) cells plus the index tuples of cells that
+    received each overlay, so the caller can harvest exactly those
+    reports.
     """
     if governor is None and faults is None and arbiter is None:
         return cells, (), (), ()
@@ -220,34 +113,40 @@ def instrument_cells(
     return out, tuple(gov_idx), tuple(fault_idx), tuple(arb_idx)
 
 
-def _run_plan(plan: SweepPlan):
-    """Execute a plan through the one cell runner — no other path exists.
+def run_plan(
+    plan: SweepPlan,
+    jobs: Optional[int] = None,
+    cache=None,
+    refresh: bool = False,
+    stats=None,
+    governor: Optional[Dict[str, Any]] = None,
+    faults: Optional[Dict[str, Any]] = None,
+    arbiter: Optional[Dict[str, Any]] = None,
+):
+    """Run ``plan`` through the one cell runner and fold its results.
 
-    Instrumented or not, every cell goes through :func:`run_cells`
-    (memo > disk cache > warm-worker pool/inline), with any ambient
-    ``--governor``/``--faults`` configs overlaid as cell parameters and
-    reconstructed inside the worker by ``execute_cell``.
+    ``governor``/``faults``/``arbiter`` are plain-data configs
+    (``to_dict()`` form) overlaid onto every cell that does not pin its
+    own (:func:`instrument_cells`) — the CLI's ``--governor``/
+    ``--faults``/``--power-cap`` flags and a campaign's instrumentation
+    become cell parameters this way.  Every cell then goes through
+    :func:`run_cells` (memo > disk cache > warm-worker pool/inline).
+
+    Returns ``(table, reports)``: the assembled ``(headers, rows,
+    notes)`` and a dict holding, under ``"governor"``/``"faults"``/
+    ``"arbiter"``, the report dicts of the cells each overlay touched.
+    Reports round-trip the result cache, so a warm rerun reports
+    identically to a cold one.
     """
-    scope = _RUNNER_SCOPE
-    cells, gov_idx, fault_idx, arb_idx = instrument_cells(
-        plan.cells, scope.governor, scope.faults, scope.arbiter
-    )
-    results = run_cells(cells, jobs=scope.jobs, cache=scope.cache,
-                        refresh=scope.refresh, stats=scope.stats)
-    if scope.collect:
-        scope.governor_reports.extend(
-            results[i].governor for i in gov_idx
-            if results[i].governor is not None
-        )
-        scope.fault_reports.extend(
-            results[i].faults for i in fault_idx
-            if results[i].faults is not None
-        )
-        scope.arbiter_reports.extend(
-            results[i].arbiter for i in arb_idx
-            if results[i].arbiter is not None
-        )
-    return plan.assemble(results)
+    cells, *overlaid = instrument_cells(plan.cells, governor, faults, arbiter)
+    results = run_cells(cells, jobs=jobs, cache=cache, refresh=refresh,
+                        stats=stats)
+    reports = {
+        kind: [getattr(results[i], kind) for i in idx
+               if getattr(results[i], kind) is not None]
+        for kind, idx in zip(("governor", "faults", "arbiter"), overlaid)
+    }
+    return plan.assemble(results), reports
 
 
 def _collective_cell(
@@ -287,6 +186,7 @@ def _collective_cell(
 # Figure 2
 # =====================================================================
 def plan_fig2a(sizes: Sequence[int] = FIG2A_SIZES, iterations: int = 1) -> SweepPlan:
+    """Fig 2(a): 32-process alltoall, 4-way vs 8-way vs eq-(1) estimate."""
     spec_4way = ClusterSpec.with_shape(nodes=8, sockets=2, cores_per_socket=2)
     spec_8way = ClusterSpec.with_shape(nodes=4, sockets=2, cores_per_socket=4)
     cells = []
@@ -325,13 +225,8 @@ def plan_fig2a(sizes: Sequence[int] = FIG2A_SIZES, iterations: int = 1) -> Sweep
     return SweepPlan(cells, assemble)
 
 
-def fig2a_alltoall_scaling(sizes: Sequence[int] = FIG2A_SIZES, iterations: int = 1):
-    """Fig 2(a): 32-process alltoall, 4-way vs 8-way vs eq-(1) estimate."""
-    return _run_plan(plan_fig2a(sizes, iterations))
-
-
 def _plan_phases(experiment: str, op: str, phase_key: str,
-                 sizes: Sequence[int], n_ranks: int = 64) -> SweepPlan:
+                 sizes: Sequence[int], notes: str, n_ranks: int = 64) -> SweepPlan:
     cells = [
         _collective_cell(experiment, op, nbytes, n_ranks) for nbytes in sizes
     ]
@@ -345,40 +240,33 @@ def _plan_phases(experiment: str, op: str, phase_key: str,
                  net / r.duration_s)
             )
         headers = ["Size", "Overall (us)", "Network phase (us)", "Net fraction"]
-        return headers, rows, ""
+        return headers, rows, notes
 
     return SweepPlan(cells, assemble)
 
 
 def plan_fig2b(sizes: Sequence[int] = FIG2B_SIZES) -> SweepPlan:
-    return _plan_phases("fig2b", "bcast", "bcast.network", sizes)
-
-
-def fig2b_bcast_phases(sizes: Sequence[int] = FIG2B_SIZES):
     """Fig 2(b): bcast total time vs its inter-leader network phase."""
-    headers, rows, _ = _run_plan(plan_fig2b(sizes))
-    notes = (
+    return _plan_phases(
+        "fig2b", "bcast", "bcast.network", sizes,
         "Paper: the network phase accounts for most of the bcast time while\n"
-        "only one rank per node communicates — the rest poll (waste power)."
+        "only one rank per node communicates — the rest poll (waste power).",
     )
-    return headers, rows, notes
 
 
 def plan_fig2c(sizes: Sequence[int] = FIG2C_SIZES) -> SweepPlan:
-    return _plan_phases("fig2c", "reduce", "reduce.network", sizes)
-
-
-def fig2c_reduce_phases(sizes: Sequence[int] = FIG2C_SIZES):
     """Fig 2(c): reduce total time vs its network phase."""
-    headers, rows, _ = _run_plan(plan_fig2c(sizes))
-    notes = "Same observation as Fig 2(b) for MPI_Reduce."
-    return headers, rows, notes
+    return _plan_phases(
+        "fig2c", "reduce", "reduce.network", sizes,
+        "Same observation as Fig 2(b) for MPI_Reduce.",
+    )
 
 
 # =====================================================================
 # Figure 6: polling vs blocking
 # =====================================================================
 def plan_fig6a(sizes: Sequence[int] = POWER_FIG_SIZES, iterations: int = 1) -> SweepPlan:
+    """Fig 6(a): 64-process alltoall latency, polling vs blocking."""
     cells = []
     for nbytes in sizes:
         for progress in (ProgressMode.POLLING, ProgressMode.BLOCKING):
@@ -409,14 +297,10 @@ def plan_fig6a(sizes: Sequence[int] = POWER_FIG_SIZES, iterations: int = 1) -> S
     return SweepPlan(cells, assemble)
 
 
-def fig6a_polling_vs_blocking(sizes: Sequence[int] = POWER_FIG_SIZES, iterations: int = 1):
-    """Fig 6(a): 64-process alltoall latency, polling vs blocking."""
-    return _run_plan(plan_fig6a(sizes, iterations))
-
-
 def plan_fig6b(
     nbytes: int = 256 << 10, iterations: int = 10, interval_s: float = 0.1
 ) -> SweepPlan:
+    """Fig 6(b): sampled system power while the alltoall loop runs."""
     cells = [
         _collective_cell(
             "fig6b", "alltoall", nbytes, 64, iterations=iterations,
@@ -445,18 +329,12 @@ def plan_fig6b(
     return SweepPlan(cells, assemble)
 
 
-def fig6b_power_timeline(
-    nbytes: int = 256 << 10, iterations: int = 10, interval_s: float = 0.1
-):
-    """Fig 6(b): sampled system power while the alltoall loop runs."""
-    return _run_plan(plan_fig6b(nbytes, iterations, interval_s))
-
-
 # =====================================================================
 # Figures 7 & 8: the three schemes
 # =====================================================================
 def _plan_three_scheme_latency(
-    experiment: str, op: str, sizes: Sequence[int], iterations: int = 1
+    experiment: str, op: str, sizes: Sequence[int], notes: str,
+    iterations: int = 1,
 ) -> SweepPlan:
     cells = [
         _collective_cell(experiment, op, nbytes, 64, mode=mode,
@@ -480,7 +358,7 @@ def _plan_three_scheme_latency(
             "Proposed (us)",
             "Proposed overhead",
         ]
-        return headers, rows, ""
+        return headers, rows, notes
 
     return SweepPlan(cells, assemble)
 
@@ -522,31 +400,26 @@ def _plan_three_scheme_power(
 
 
 def plan_fig7a(sizes: Sequence[int] = POWER_FIG_SIZES) -> SweepPlan:
-    return _plan_three_scheme_latency("fig7a", "alltoall", sizes)
-
-
-def fig7a_alltoall_latency(sizes: Sequence[int] = POWER_FIG_SIZES):
     """Fig 7(a): alltoall latency under the three schemes, 64 processes."""
-    headers, rows, _ = _run_plan(plan_fig7a(sizes))
-    notes = (
+    return _plan_three_scheme_latency(
+        "fig7a", "alltoall", sizes,
         "Paper: ~10% gap between default and power-aware; very little\n"
-        "difference between Freq-Scaling and Proposed."
+        "difference between Freq-Scaling and Proposed.",
     )
-    return headers, rows, notes
 
 
 def plan_fig7b(
     nbytes: int = 1 << 20, iterations: int = 8, interval_s: float = 0.25
 ) -> SweepPlan:
+    """Fig 7(b): sampled power during the alltoall loop."""
     return _plan_three_scheme_power("fig7b", "alltoall", nbytes, iterations, interval_s)
 
 
-def fig7b_alltoall_power(nbytes: int = 1 << 20, iterations: int = 8, interval_s: float = 0.25):
-    """Fig 7(b): sampled power during the alltoall loop."""
-    return _run_plan(plan_fig7b(nbytes, iterations, interval_s))
-
-
 def plan_alltoallv(sizes: Sequence[int] = POWER_FIG_SIZES) -> SweepPlan:
+    """§VII-D: MPI_Alltoallv mirrors the Alltoall results ([26]).
+
+    Uses deterministically skewed per-peer counts (±15 % around the mean)
+    so the vector path is genuinely exercised."""
     cells = [
         SweepCell(
             experiment="alltoallv",
@@ -583,54 +456,29 @@ def plan_alltoallv(sizes: Sequence[int] = POWER_FIG_SIZES) -> SweepPlan:
     return SweepPlan(cells, assemble)
 
 
-def alltoallv_power(sizes: Sequence[int] = POWER_FIG_SIZES):
-    """§VII-D: MPI_Alltoallv mirrors the Alltoall results ([26]).
-
-    Uses deterministically skewed per-peer counts (±15 % around the mean)
-    so the vector path is genuinely exercised."""
-    return _run_plan(plan_alltoallv(sizes))
-
-
 def plan_fig8a(sizes: Sequence[int] = POWER_FIG_SIZES) -> SweepPlan:
-    return _plan_three_scheme_latency("fig8a", "bcast", sizes, iterations=4)
-
-
-def fig8a_bcast_latency(sizes: Sequence[int] = POWER_FIG_SIZES):
     """Fig 8(a): bcast latency under the three schemes, 64 processes."""
-    headers, rows, _ = _run_plan(plan_fig8a(sizes))
-    notes = "Paper: ~15% overhead at 1MB; power variants nearly identical."
-    return headers, rows, notes
+    return _plan_three_scheme_latency(
+        "fig8a", "bcast", sizes,
+        "Paper: ~15% overhead at 1MB; power variants nearly identical.",
+        iterations=4,
+    )
 
 
 def plan_fig8b(
     nbytes: int = 1 << 20, iterations: int = 600, interval_s: float = 0.25
 ) -> SweepPlan:
-    return _plan_three_scheme_power("fig8b", "bcast", nbytes, iterations, interval_s)
-
-
-def fig8b_bcast_power(nbytes: int = 1 << 20, iterations: int = 600, interval_s: float = 0.25):
     """Fig 8(b): sampled power during the bcast loop."""
-    return _run_plan(plan_fig8b(nbytes, iterations, interval_s))
+    return _plan_three_scheme_power("fig8b", "bcast", nbytes, iterations, interval_s)
 
 
 # =====================================================================
 # Figures 9 & 10 and Tables I & II: applications
 # =====================================================================
-#: Registry keys of :data:`repro.runner.APP_SPECS` by app name — cells
-#: carry the key, never the AppSpec object.
-_APP_KEYS = {
-    NAS_FT.name: "nas-ft",
-    NAS_IS.name: "nas-is",
-    CPMD_WAT32_INP1.name: "cpmd-wat1",
-    CPMD_WAT32_INP2.name: "cpmd-wat2",
-    CPMD_TA_INP_MD.name: "cpmd-ta",
-}
-
-
-def _app_cell(experiment: str, app, ranks: int, mode: PowerMode,
+def _app_cell(experiment: str, app: str, ranks: int, mode: PowerMode,
               governor=None, scheme: str = "") -> SweepCell:
     params: Dict[str, Any] = {
-        "app": _APP_KEYS[app.name],
+        "app": app,
         "ranks": ranks,
         "mode": mode.value,
     }
@@ -640,16 +488,18 @@ def _app_cell(experiment: str, app, ranks: int, mode: PowerMode,
         experiment=experiment,
         kind="app",
         params=params,
-        label=f"{app.name}/{ranks}r/{scheme or mode.value}",
+        label=f"{APPS[app].name}/{ranks}r/{scheme or mode.value}",
     )
 
 
-def _plan_apps(experiment: str, apps: Iterable, ranks=(32, 64)) -> SweepPlan:
+def _plan_apps(experiment: str, apps: Sequence[str], energy: bool,
+               headers: List[str], notes: str, ranks=(32, 64)) -> SweepPlan:
     """The shared fig9/10 + table I/II sweep: apps × ranks × schemes.
 
     The figure and table of the same section share the same 18 cells —
-    identical content hashes, so the runner executes each once."""
-    apps = tuple(apps)
+    identical content hashes, so the runner executes each once.  The
+    figures fold one row per scheme (total + alltoall time), the tables
+    one row per app and rank count (energy of each scheme)."""
     cells = [
         _app_cell(experiment, app, n, mode)
         for app in apps
@@ -658,70 +508,73 @@ def _plan_apps(experiment: str, apps: Iterable, ranks=(32, 64)) -> SweepPlan:
     ]
 
     def assemble(results):
-        perf_rows = []
-        energy_rows = []
+        rows = []
         i = 0
         for app in apps:
+            name = APPS[app].name
             for n in ranks:
                 group = results[i:i + 3]
                 i += 3
+                if energy:
+                    rows.append((name, n, *[r.app["energy_kj"] for r in group]))
+                    continue
                 for mode, r in zip(MODES, group):
-                    perf_rows.append(
+                    rows.append(
                         (
-                            app.name,
+                            name,
                             n,
                             MODE_LABELS[mode],
                             r.app["total_time_s"],
                             r.app["alltoall_time_s"],
                         )
                     )
-                energy_rows.append(
-                    (app.name, n, *[r.app["energy_kj"] for r in group])
-                )
-        return perf_rows, energy_rows, ""
+        return headers, rows, notes
 
     return SweepPlan(cells, assemble)
 
 
-def fig9_cpmd_performance():
+def plan_fig9() -> SweepPlan:
     """Fig 9: CPMD total and alltoall time, 32/64 processes, 3 datasets."""
-    perf_rows, _, _ = _run_plan(_plan_apps("fig9", CPMD_DATASETS))
-    headers = ["Dataset", "Procs", "Scheme", "Total (s)", "Alltoall (s)"]
-    notes = (
+    return _plan_apps(
+        "fig9", CPMD_APPS, False,
+        ["Dataset", "Procs", "Scheme", "Total (s)", "Alltoall (s)"],
         "Paper: runtime halves from 32 to 64 processes while alltoall time\n"
-        "changes little; power schemes cost ~2-5%."
+        "changes little; power schemes cost ~2-5%.",
     )
-    return headers, perf_rows, notes
 
 
-def table1_cpmd_energy():
+def plan_table1() -> SweepPlan:
     """Table I: CPMD energy (kJ) under the three schemes."""
-    _, energy_rows, _ = _run_plan(_plan_apps("table1", CPMD_DATASETS))
-    headers = ["Dataset", "Procs", "Default (kJ)", "Freq-Scaling (kJ)", "Proposed (kJ)"]
-    notes = "Paper Table I; ~8% saving on ta-inp-md at 64 processes."
-    return headers, energy_rows, notes
+    return _plan_apps(
+        "table1", CPMD_APPS, True,
+        ["Dataset", "Procs", "Default (kJ)", "Freq-Scaling (kJ)", "Proposed (kJ)"],
+        "Paper Table I; ~8% saving on ta-inp-md at 64 processes.",
+    )
 
 
-def fig10_nas_performance():
+def plan_fig10() -> SweepPlan:
     """Fig 10: NAS FT and IS total + alltoall time."""
-    perf_rows, _, _ = _run_plan(_plan_apps("fig10", (NAS_FT, NAS_IS)))
-    headers = ["Kernel", "Procs", "Scheme", "Total (s)", "Alltoall (s)"]
-    notes = "Paper: same behaviour as CPMD; IS is the most alltoall-bound."
-    return headers, perf_rows, notes
+    return _plan_apps(
+        "fig10", NAS_APPS, False,
+        ["Kernel", "Procs", "Scheme", "Total (s)", "Alltoall (s)"],
+        "Paper: same behaviour as CPMD; IS is the most alltoall-bound.",
+    )
 
 
-def table2_nas_energy():
+def plan_table2() -> SweepPlan:
     """Table II: NAS energy (kJ) under the three schemes."""
-    _, energy_rows, _ = _run_plan(_plan_apps("table2", (NAS_FT, NAS_IS)))
-    headers = ["Kernel", "Procs", "Default (kJ)", "Freq-Scaling (kJ)", "Proposed (kJ)"]
-    notes = "Paper Table II; ~8% saving on IS."
-    return headers, energy_rows, notes
+    return _plan_apps(
+        "table2", NAS_APPS, True,
+        ["Kernel", "Procs", "Default (kJ)", "Freq-Scaling (kJ)", "Proposed (kJ)"],
+        "Paper Table II; ~8% saving on IS.",
+    )
 
 
 # =====================================================================
 # Model validation & ablations
 # =====================================================================
 def plan_models_validation(nbytes: int = 1 << 20) -> SweepPlan:
+    """Equations (1)-(4) against the simulator at 64 processes."""
     cells = [
         _collective_cell("models", "alltoall", nbytes, 64),
         _collective_cell("models", "bcast", nbytes, 64),
@@ -756,12 +609,8 @@ def plan_models_validation(nbytes: int = 1 << 20) -> SweepPlan:
     return SweepPlan(cells, assemble)
 
 
-def models_validation(nbytes: int = 1 << 20):
-    """Equations (1)-(4) against the simulator at 64 processes."""
-    return _run_plan(plan_models_validation(nbytes))
-
-
 def plan_ablation_granularity(nbytes: int = 1 << 20) -> SweepPlan:
+    """§V-B discussion: socket- vs core-granular throttling."""
     grans = (ThrottleGranularity.SOCKET, ThrottleGranularity.CORE)
     ops = ("bcast", "alltoall")
     cells = [
@@ -795,12 +644,9 @@ def plan_ablation_granularity(nbytes: int = 1 << 20) -> SweepPlan:
     return SweepPlan(cells, assemble)
 
 
-def ablation_throttle_granularity(nbytes: int = 1 << 20):
-    """§V-B discussion: socket- vs core-granular throttling."""
-    return _run_plan(plan_ablation_granularity(nbytes))
-
-
 def plan_ext_racks(nbytes: int = 1 << 20) -> SweepPlan:
+    """Paper §VIII future work: rack-aware power-aware broadcast on a
+    4-rack / 16-node / 128-core cluster with 2:1 oversubscribed uplinks."""
     spec = ClusterSpec(nodes=16, racks=4)
     cells = [
         _collective_cell(
@@ -831,12 +677,6 @@ def plan_ext_racks(nbytes: int = 1 << 20) -> SweepPlan:
     return SweepPlan(cells, assemble)
 
 
-def extension_rack_topology(nbytes: int = 1 << 20):
-    """Paper §VIII future work: rack-aware power-aware broadcast on a
-    4-rack / 16-node / 128-core cluster with 2:1 oversubscribed uplinks."""
-    return _run_plan(plan_ext_racks(nbytes))
-
-
 def _mixed_cell(experiment: str, sizes: Sequence[int], mode: PowerMode,
                 governor=None, scheme: str = "") -> SweepCell:
     params: Dict[str, Any] = {
@@ -858,6 +698,8 @@ def _mixed_cell(experiment: str, sizes: Sequence[int], mode: PowerMode,
 def plan_ext_adaptive(
     sizes: Sequence[int] = (16 << 10, 64 << 10, 256 << 10, 1 << 20)
 ) -> SweepPlan:
+    """Extension: the ADAPTIVE per-call policy vs the paper's static
+    schemes on a mixed-size alltoall workload (one call per size)."""
     all_modes = (*MODES, PowerMode.ADAPTIVE)
     cells = [_mixed_cell("ext-adaptive", sizes, mode) for mode in all_modes]
 
@@ -881,14 +723,6 @@ def plan_ext_adaptive(
     return SweepPlan(cells, assemble)
 
 
-def extension_adaptive_policy(
-    sizes: Sequence[int] = (16 << 10, 64 << 10, 256 << 10, 1 << 20)
-):
-    """Extension: the ADAPTIVE per-call policy vs the paper's static
-    schemes on a mixed-size alltoall workload (one call per size)."""
-    return _run_plan(plan_ext_adaptive(sizes))
-
-
 # ---------------------------------------------------------------------
 # Extension: the online governor runtime (repro.runtime)
 # ---------------------------------------------------------------------
@@ -904,27 +738,14 @@ def _governor_params(policy: str) -> Dict[str, Any]:
     return GovernorConfig(policy=GovernorPolicy(policy)).to_dict()
 
 
-def _governed_job(n_ranks: int, policy: str, **job_kwargs):
-    """An MpiJob with an online governor and the NONE static scheme (the
-    governor replaces the baked-in schedules, it does not stack on them)."""
-    from ..runtime import Governor, GovernorConfig, GovernorPolicy
-
-    gov = Governor(GovernorConfig(policy=GovernorPolicy(policy)))
-    job = MpiJob(
-        n_ranks,
-        collectives=_engine(PowerMode.NONE),
-        keep_segments=False,
-        governor=gov,
-        **job_kwargs,
-    )
-    return job, gov
-
-
 def plan_ext_governor_alltoall(
     sizes: Sequence[int] = (64 << 10, 256 << 10, 1 << 20),
     iterations: int = 3,
     n_ranks: int = 64,
 ) -> SweepPlan:
+    """Extension: online governor policies vs the paper's static schemes
+    on OSU-style alltoall loops (countdown should track No-Power latency
+    while shaving wait energy; predictive should track Proposed energy)."""
     cells = []
     for nbytes in sizes:
         for mode in MODES:
@@ -973,20 +794,11 @@ def plan_ext_governor_alltoall(
     return SweepPlan(cells, assemble)
 
 
-def extension_governor_alltoall(
-    sizes: Sequence[int] = (64 << 10, 256 << 10, 1 << 20),
-    iterations: int = 3,
-    n_ranks: int = 64,
-):
-    """Extension: online governor policies vs the paper's static schemes
-    on OSU-style alltoall loops (countdown should track No-Power latency
-    while shaving wait energy; predictive should track Proposed energy)."""
-    return _run_plan(plan_ext_governor_alltoall(sizes, iterations, n_ranks))
-
-
 def plan_ext_governor_mixed(
     sizes: Sequence[int] = (16 << 10, 64 << 10, 256 << 10, 1 << 20)
 ) -> SweepPlan:
+    """Extension: the governor vs the per-call ADAPTIVE scheme on the
+    mixed-size workload of :func:`plan_ext_adaptive`."""
     static_modes = (*MODES, PowerMode.ADAPTIVE)
     cells = [
         _mixed_cell("ext-governor-mixed", sizes, mode) for mode in static_modes
@@ -1029,18 +841,14 @@ def plan_ext_governor_mixed(
     return SweepPlan(cells, assemble)
 
 
-def extension_governor_mixed(
-    sizes: Sequence[int] = (16 << 10, 64 << 10, 256 << 10, 1 << 20)
-):
-    """Extension: the governor vs the per-call ADAPTIVE scheme on the
-    mixed-size workload of :func:`extension_adaptive_policy`."""
-    return _run_plan(plan_ext_governor_mixed(sizes))
-
-
 def plan_ext_governor_apps(include_nas: bool = True) -> SweepPlan:
-    apps = [(CPMD_WAT32_INP1, 64)]
+    """Extension: governor policies on the application traces (CPMD water
+    + NAS FT) against the paper's static schemes — the acceptance
+    surface: countdown ≤ 1.05x best static energy at ≤ 2% added
+    communication latency."""
+    apps = [("cpmd-wat1", 64)]
     if include_nas:
-        apps.append((NAS_FT, 64))
+        apps.append(("nas-ft", 64))
     cells = []
     for app, ranks in apps:
         for mode in MODES:
@@ -1064,7 +872,7 @@ def plan_ext_governor_apps(include_nas: bool = True) -> SweepPlan:
                 r = results[per_app * i + j]
                 rows.append(
                     (
-                        app.name,
+                        APPS[app].name,
                         scheme,
                         r.app["total_time_s"],
                         r.app["alltoall_time_s"],
@@ -1082,20 +890,11 @@ def plan_ext_governor_apps(include_nas: bool = True) -> SweepPlan:
     return SweepPlan(cells, assemble)
 
 
-def extension_governor_apps(include_nas: bool = True):
-    """Extension: governor policies on the application traces (CPMD water
-    + NAS FT) against the paper's static schemes — the ISSUE acceptance
-    surface: countdown ≤ 1.05x best static energy at ≤ 2% added
-    communication latency."""
-    return _run_plan(plan_ext_governor_apps(include_nas))
-
-
 # ---------------------------------------------------------------------
 # Extension: fault injection (repro.faults) — robustness of the governor
 # ---------------------------------------------------------------------
-#: The "mild noise" perturbation the ISSUE-3 acceptance check runs under:
-#: a quarter of the nodes at 60% NIC bandwidth plus OS noise on a quarter
-#: of the cores.
+#: The "mild noise" perturbation of the fault study: a quarter of the
+#: nodes at 60% NIC bandwidth plus OS noise on a quarter of the cores.
 DEFAULT_FAULT_SPEC = (
     "degrade:factor=0.6,frac=0.25;noise:period=500us,pulse=20us,frac=0.25"
 )
@@ -1108,6 +907,14 @@ def plan_ext_faults(
     fault_spec: str = DEFAULT_FAULT_SPEC,
     seed: int = 7,
 ) -> SweepPlan:
+    """Extension: governor policies on a quiet vs a perturbed machine.
+
+    Each loop iteration computes briefly and then alltoalls, so every
+    injector class matters: stragglers/noise stretch the compute,
+    degraded NICs stretch the collective.  The acceptance claim is that
+    countdown's envelope survives mild perturbation — latency hugging
+    the (equally perturbed) No-Power baseline while still saving energy.
+    """
     from ..faults import parse_fault_spec
 
     fault_params = parse_fault_spec(fault_spec, seed=seed).to_dict()
@@ -1167,27 +974,15 @@ def plan_ext_faults(
     return SweepPlan(cells, assemble)
 
 
-def extension_faults_governor(
-    sizes: Sequence[int] = (64 << 10, 256 << 10),
-    iterations: int = 3,
-    n_ranks: int = 64,
-    fault_spec: str = DEFAULT_FAULT_SPEC,
-    seed: int = 7,
-):
-    """Extension: governor policies on a quiet vs a perturbed machine.
-
-    Each loop iteration computes briefly and then alltoalls, so every
-    injector class matters: stragglers/noise stretch the compute,
-    degraded NICs stretch the collective.  The acceptance claim is that
-    countdown's envelope survives mild perturbation — latency hugging
-    the (equally perturbed) No-Power baseline while still saving energy.
-    """
-    return _run_plan(plan_ext_faults(sizes, iterations, n_ranks, fault_spec, seed))
-
-
 def plan_ablation_scaling(
     nbytes: int = 256 << 10, node_counts=(2, 4, 8, 16)
 ) -> SweepPlan:
+    """Scaling study: the proposed alltoall across cluster sizes.
+
+    Equation (3) predicts overhead 2·Odvfs + N·Othrottle — linear in the
+    node count — while the power saving fraction stays constant.  This
+    sweep exercises both claims beyond the paper's 8-node testbed.
+    """
     cells = []
     for n_nodes in node_counts:
         spec = ClusterSpec(nodes=n_nodes)
@@ -1232,17 +1027,14 @@ def plan_ablation_scaling(
     return SweepPlan(cells, assemble)
 
 
-def ablation_cluster_scaling(nbytes: int = 256 << 10, node_counts=(2, 4, 8, 16)):
-    """Scaling study: the proposed alltoall across cluster sizes.
-
-    Equation (3) predicts overhead 2·Odvfs + N·Othrottle — linear in the
-    node count — while the power saving fraction stays constant.  This
-    sweep exercises both claims beyond the paper's 8-node testbed.
-    """
-    return _run_plan(plan_ablation_scaling(nbytes, node_counts))
-
-
 def plan_ablation_fmin(nbytes: int = 1 << 20) -> SweepPlan:
+    """Which DVFS target frequency minimises collective energy?
+
+    The paper always drops to the floor (1.6 GHz); this sweep justifies
+    that choice: communication is not CPU-bound, so energy decreases
+    monotonically down the P-state ladder while latency grows only via the
+    uncore/NIC coupling.
+    """
     from ..cluster.specs import DEFAULT_PSTATES
 
     cells = []
@@ -1273,20 +1065,10 @@ def plan_ablation_fmin(nbytes: int = 1 << 20) -> SweepPlan:
     return SweepPlan(cells, assemble)
 
 
-def ablation_fmin_sweep(nbytes: int = 1 << 20):
-    """Which DVFS target frequency minimises collective energy?
-
-    The paper always drops to the floor (1.6 GHz); this sweep justifies
-    that choice: communication is not CPU-bound, so energy decreases
-    monotonically down the P-state ladder while latency grows only via the
-    uncore/NIC coupling.
-    """
-    return _run_plan(plan_ablation_fmin(nbytes))
-
-
 def plan_ablation_overheads(
     nbytes: int = 256 << 10, overheads_us: Sequence[float] = (0.0, 12.0, 50.0, 200.0)
 ) -> SweepPlan:
+    """§VI-A2: sensitivity of the proposed alltoall to Odvfs/Othrottle."""
     cells = []
     for ov in overheads_us:
         cpu = CpuSpec(dvfs_latency_s=ov * 1e-6, throttle_latency_s=ov * 1e-6)
@@ -1309,13 +1091,6 @@ def plan_ablation_overheads(
         return headers, rows, notes
 
     return SweepPlan(cells, assemble)
-
-
-def ablation_transition_overheads(
-    nbytes: int = 256 << 10, overheads_us: Sequence[float] = (0.0, 12.0, 50.0, 200.0)
-):
-    """§VI-A2: sensitivity of the proposed alltoall to Odvfs/Othrottle."""
-    return _run_plan(plan_ablation_overheads(nbytes, overheads_us))
 
 
 # ---------------------------------------------------------------------
@@ -1365,7 +1140,9 @@ def plan_ext_arbiter(
     compute_s: float = 10e-3,
     compute_iterations: int = 3,
 ) -> SweepPlan:
-    """Two co-scheduled jobs under a cluster power cap (multi-job study).
+    """Extension: the cluster power-budget arbiter on a two-job scenario
+    (no-cap / uniform / redistribute at one global cap) — redistribute
+    should beat uniform on makespan at the same cap.
 
     Job A (first half of the nodes) is communication-bound — alltoall
     loops whose ranks spend most time in MPI waits, so under the
@@ -1429,26 +1206,10 @@ def plan_ext_arbiter(
     return SweepPlan(cells, assemble)
 
 
-def extension_power_arbiter(
-    n_nodes: int = 16,
-    cap_per_node_w: float = ARBITER_CAP_PER_NODE_W,
-    comm_nbytes: int = 64 << 10,
-    comm_iterations: int = 2,
-    compute_s: float = 10e-3,
-    compute_iterations: int = 3,
-):
-    """Extension: the cluster power-budget arbiter on a two-job scenario
-    (no-cap / uniform / redistribute at one global cap) — redistribute
-    should beat uniform on makespan at the same cap."""
-    return _run_plan(plan_ext_arbiter(
-        n_nodes, cap_per_node_w, comm_nbytes, comm_iterations,
-        compute_s, compute_iterations,
-    ))
-
-
-#: CLI experiment name → zero-argument cell-plan producer (the default
-#: parameterisation of each experiment, decomposed but not yet run).
-CELL_PLANS: Dict[str, Callable[[], SweepPlan]] = {
+#: Experiment name → plan producer: the one experiment registry.  Each
+#: producer's defaults are the experiment's paper parameterisation, and
+#: the first line of its docstring is its ``repro experiments`` summary.
+CELL_PLANS: Dict[str, Callable[..., SweepPlan]] = {
     "fig2a": plan_fig2a,
     "fig2b": plan_fig2b,
     "fig2c": plan_fig2c,
@@ -1458,10 +1219,10 @@ CELL_PLANS: Dict[str, Callable[[], SweepPlan]] = {
     "fig7b": plan_fig7b,
     "fig8a": plan_fig8a,
     "fig8b": plan_fig8b,
-    "fig9": lambda: _plan_apps("fig9", CPMD_DATASETS),
-    "fig10": lambda: _plan_apps("fig10", (NAS_FT, NAS_IS)),
-    "table1": lambda: _plan_apps("table1", CPMD_DATASETS),
-    "table2": lambda: _plan_apps("table2", (NAS_FT, NAS_IS)),
+    "fig9": plan_fig9,
+    "fig10": plan_fig10,
+    "table1": plan_table1,
+    "table2": plan_table2,
     "models": plan_models_validation,
     "alltoallv": plan_alltoallv,
     "ablation-granularity": plan_ablation_granularity,

@@ -2,14 +2,15 @@
 
 A campaign that covers ``table1`` does not just fill a cache — it ends
 with ``table1.json`` + ``table1.txt`` under the campaign directory,
-rendered through the *same* experiment functions, JSON schema
+rendered by :func:`repro.bench.run_plan` from the *same*
+:data:`repro.bench.CELL_PLANS` plan, JSON schema
 (:mod:`repro.bench.export`) and table formatter
-(:mod:`repro.bench.report`) the ``repro experiment`` command uses.  By
-the time this stage runs every needed cell is in the store, so the
-experiment functions execute as pure cache reads: rendering artifacts
-for a finished campaign costs no simulation at all, and the output is
-byte-identical to a cold single-process run — the acceptance property
-CI pins with ``cmp``.
+(:mod:`repro.bench.report`) the ``repro experiment`` command uses, on
+the campaign's result cache.  By the time this stage runs every needed
+cell is in the store, so the plans run as pure cache reads: rendering
+artifacts for a finished campaign costs no simulation at all, and the
+output is byte-identical to a cold single-process run — the acceptance
+property CI pins with ``cmp``.
 """
 
 from __future__ import annotations
@@ -30,20 +31,18 @@ def render_artifacts(
 ) -> List[Dict[str, Any]]:
     """Render ``names`` (default: the spec's artifact list) under
     ``<campaign_dir>/artifacts/``; returns one record per artifact."""
-    from ..bench import use_runner
+    from ..bench import CELL_PLANS, run_plan
     from ..bench.export import save_json
     from ..bench.report import render_experiment, save_report
-    from ..cli import EXPERIMENTS
 
     names = list(spec.artifacts if names is None else names)
     art_dir = Path(campaign_dir) / "artifacts"
     records: List[Dict[str, Any]] = []
     for name in sorted(set(names)):
-        with use_runner(
-            jobs=jobs, cache=cache, stats=stats,
+        (headers, rows, notes), _ = run_plan(
+            CELL_PLANS[name](), jobs=jobs, cache=cache, stats=stats,
             governor=spec.governor, faults=spec.faults,
-        ):
-            headers, rows, notes = EXPERIMENTS[name]()
+        )
         json_path = save_json(
             name, headers, rows, notes, results_dir=str(art_dir)
         )

@@ -242,6 +242,12 @@ def _faults_dict(value: Any, seed: int = 0) -> Optional[Dict[str, Any]]:
         except FaultSpecError as exc:
             raise CampaignSpecError(f"bad fault spec {value!r}: {exc}") from exc
     if isinstance(value, Mapping):
+        from ..faults import FaultPlan
+
+        try:
+            FaultPlan.from_dict(value)
+        except (TypeError, ValueError) as exc:  # FaultSpecError included
+            raise CampaignSpecError(f"bad fault plan {dict(value)!r}: {exc}") from exc
         return dict(value)
     raise CampaignSpecError(f"faults must be a spec string or dict, got {value!r}")
 
@@ -358,7 +364,7 @@ def _apply_conversions(grid: CampaignGrid, params: Dict[str, Any]) -> None:
     if params.get("governor") is None:
         params.pop("governor", None)
     seed = int(params.pop("fault_seed", 0))
-    if isinstance(params.get("faults"), str):
+    if params.get("faults") is not None:
         params["faults"] = _faults_dict(params["faults"], seed=seed)
     if params.get("faults") is None:
         params.pop("faults", None)

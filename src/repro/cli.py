@@ -27,7 +27,10 @@ Commands
     Convert a ``--trace`` JSONL file to a viewer format (Chrome trace
     JSON for chrome://tracing or https://ui.perfetto.dev).
 
-The ``experiment`` / ``osu`` / ``app`` commands accept ``--jobs N`` to
+The ``experiment`` / ``osu`` / ``app`` commands each build a
+:class:`~repro.bench.SweepPlan` (``experiment`` takes it from
+:data:`~repro.bench.CELL_PLANS`) and run it through
+:func:`~repro.bench.run_plan`.  They accept ``--jobs N`` to
 shard their independent simulation cells across worker processes and
 ``--cache-dir`` / ``--no-cache`` / ``--refresh`` to control the
 content-addressed result cache (see :mod:`repro.runner`).  Parallel
@@ -50,55 +53,16 @@ import os
 import re
 import sys
 from pathlib import Path
-from typing import Callable, List, Optional
+from typing import List, Optional
 
-from . import bench
-from .apps import CPMD_TA_INP_MD, CPMD_WAT32_INP1, CPMD_WAT32_INP2, NAS_FT, NAS_IS
+from .apps import APPS
+from .bench import CELL_PLANS, SweepPlan, run_plan
 from .bench.report import bytes_label, format_table, render_experiment
 from .cluster.specs import ClusterSpec
 from .collectives.registry import PowerMode
 from .microbench import osu
 from .mpi.p2p import ProgressMode
 from .power.model import PowerModel
-
-APPS = {
-    "nas-ft": NAS_FT,
-    "nas-is": NAS_IS,
-    "cpmd-wat1": CPMD_WAT32_INP1,
-    "cpmd-wat2": CPMD_WAT32_INP2,
-    "cpmd-ta": CPMD_TA_INP_MD,
-}
-
-EXPERIMENTS = {
-    "fig2a": bench.fig2a_alltoall_scaling,
-    "fig2b": bench.fig2b_bcast_phases,
-    "fig2c": bench.fig2c_reduce_phases,
-    "fig6a": bench.fig6a_polling_vs_blocking,
-    "fig6b": bench.fig6b_power_timeline,
-    "fig7a": bench.fig7a_alltoall_latency,
-    "fig7b": bench.fig7b_alltoall_power,
-    "fig8a": bench.fig8a_bcast_latency,
-    "fig8b": bench.fig8b_bcast_power,
-    "fig9": bench.fig9_cpmd_performance,
-    "fig10": bench.fig10_nas_performance,
-    "table1": bench.table1_cpmd_energy,
-    "table2": bench.table2_nas_energy,
-    "models": bench.models_validation,
-    "alltoallv": bench.alltoallv_power,
-    "ablation-granularity": bench.ablation_throttle_granularity,
-    "ablation-overheads": bench.ablation_transition_overheads,
-    "ablation-fmin": bench.ablation_fmin_sweep,
-    "ablation-scaling": bench.ablation_cluster_scaling,
-    "ext-racks": bench.extension_rack_topology,
-    "ext-rack-topology": bench.extension_rack_topology,
-    "ext-adaptive": bench.extension_adaptive_policy,
-    "ext-governor": bench.extension_governor_alltoall,
-    "ext-governor-alltoall": bench.extension_governor_alltoall,
-    "ext-governor-mixed": bench.extension_governor_mixed,
-    "ext-governor-apps": bench.extension_governor_apps,
-    "ext-faults": bench.extension_faults_governor,
-    "ext-arbiter": bench.extension_power_arbiter,
-}
 
 
 def _parse_size(text: str) -> int:
@@ -115,12 +79,12 @@ def _parse_size(text: str) -> int:
 def _canonical_experiment(name: str) -> Optional[str]:
     """Resolve an experiment name, tolerating zero-padding ('fig07a')."""
     key = name.lower()
-    if key in EXPERIMENTS:
+    if key in CELL_PLANS:
         return key
     m = re.fullmatch(r"(fig|table)0*(\d+)([a-z]?)", key)
     if m:
         key = f"{m.group(1)}{int(m.group(2))}{m.group(3)}"
-        if key in EXPERIMENTS:
+        if key in CELL_PLANS:
             return key
     return None
 
@@ -194,121 +158,6 @@ def _add_runner_flags(subparser: argparse.ArgumentParser) -> None:
     )
 
 
-class _Instrumentation:
-    """Resolved --governor/--faults flags plus the reports they produced.
-
-    The configs become *cell parameters*: commands serialize them into
-    every cell they build (or hand them to :func:`bench.use_runner` to
-    overlay onto plan cells), workers reconstruct them, and the per-run
-    report dicts come back on the :class:`CellResult` — through the
-    memo, the disk cache, or fresh execution alike — so the summary
-    lines below are byte-identical however a cell was satisfied.
-    """
-
-    def __init__(self, args):
-        self.governor_config = _governor_config(args)
-        self.fault_plan = _fault_plan(args)
-        self.arbiter_config = _arbiter_config(args)
-        self.governor_reports: List[dict] = []
-        self.fault_reports: List[dict] = []
-        self.arbiter_reports: List[dict] = []
-
-    @property
-    def governor_params(self):
-        return (
-            self.governor_config.to_dict()
-            if self.governor_config is not None else None
-        )
-
-    @property
-    def fault_params(self):
-        return (
-            self.fault_plan.to_dict()
-            if self.fault_plan is not None else None
-        )
-
-    @property
-    def arbiter_params(self):
-        return (
-            self.arbiter_config.to_dict()
-            if self.arbiter_config is not None else None
-        )
-
-    def cell_params(self, params: dict) -> dict:
-        """Fold the instrumentation configs into one cell's params.
-
-        Leaves ``params`` untouched when no flag was given, so
-        uninstrumented runs keep their exact historical cache keys.
-        """
-        if self.governor_params is not None:
-            params["governor"] = self.governor_params
-        if self.fault_params is not None:
-            params["faults"] = self.fault_params
-        if self.arbiter_params is not None:
-            params["arbiter"] = self.arbiter_params
-        return params
-
-    def collect(self, results) -> None:
-        """Harvest report dicts from results of cells this built."""
-        if self.governor_config is not None:
-            self.governor_reports.extend(
-                r.governor for r in results if r.governor is not None
-            )
-        if self.fault_plan is not None:
-            self.fault_reports.extend(
-                r.faults for r in results if r.faults is not None
-            )
-        if self.arbiter_config is not None:
-            self.arbiter_reports.extend(
-                r.arbiter for r in results if r.arbiter is not None
-            )
-
-
-class _RunnerSetup:
-    """Resolved --jobs/--cache-dir/--no-cache/--refresh for one command."""
-
-    def __init__(self, args, experiment: str = ""):
-        from .runner import ResultCache, SweepStats, resolve_jobs
-
-        self.jobs = resolve_jobs(args.jobs, default=os.cpu_count() or 1)
-        self.cache = (
-            None if args.no_cache
-            else ResultCache(Path(args.cache_dir) if args.cache_dir else None)
-        )
-        self.refresh = bool(args.refresh)
-        self.stats = SweepStats(experiment=experiment, jobs=self.jobs)
-
-    def run(self, cells):
-        from .runner import run_cells
-
-        return run_cells(
-            cells, jobs=self.jobs, cache=self.cache,
-            refresh=self.refresh, stats=self.stats,
-        )
-
-    def finish(self) -> None:
-        """Print the run summary (stderr keeps stdout byte-comparable
-        across warm/cold runs) and persist it for ``bench-report``."""
-        from .obs.metrics import ambient_metrics_registry
-        from .runner import save_sweep_stats
-
-        line = self.stats.one_line()
-        if self.cache is not None:
-            cs = self.cache.stats()
-            line += (
-                f" | disk cache {cs['hits']} hits / {cs['misses']} misses"
-                f" / {cs['writes']} writes ({self.cache.root})"
-            )
-            if cs.get("write_errors"):
-                line += f" | {cs['write_errors']} WRITE ERRORS (store degraded)"
-        print(line, file=sys.stderr)
-        registry = ambient_metrics_registry()
-        save_sweep_stats(
-            self.stats, cache=self.cache,
-            metrics=registry.snapshot() if registry is not None else None,
-        )
-
-
 def _fault_plan(args):
     """Build a FaultPlan from the CLI flags (None = not requested)."""
     spec = getattr(args, "faults", None)
@@ -367,17 +216,29 @@ def _arbiter_config(args):
     )
 
 
-def _instrumented(args, out, fn: Callable[["_Instrumentation"], int]) -> int:
-    """Run ``fn`` under the --trace / --metrics / --profile scopes, with
-    the --governor / --faults configs resolved into an
-    :class:`_Instrumentation` the command threads into its cells."""
+def _run_command(args, out, experiment: str, plan: SweepPlan, title: str,
+                 json_dir: Optional[str] = None) -> int:
+    """Run ``plan`` for one ``experiment``/``osu``/``app`` command.
+
+    The --governor/--faults/--power-cap flags become configs that
+    :func:`run_plan` overlays onto the plan's cells, and the
+    --jobs/--cache-dir/--no-cache/--refresh flags drive its runner.  The
+    whole run sits under the --trace/--metrics/--profile scopes.  After
+    the table come the instrumentation summary lines.  They are built
+    from the report dicts the overlaid cells return, which round-trip
+    the result cache, so a warm rerun prints them byte-identically.
+    """
     from .bench.profile import SelfProfile
+    from .obs.metrics import ambient_metrics_registry
+    from .runner import ResultCache, SweepStats, resolve_jobs, save_sweep_stats
     from .sim.trace import JsonlTracer, use_tracer
 
-    trace_path = getattr(args, "trace", None)
-    metrics_path = getattr(args, "metrics", None)
-    profile = SelfProfile() if getattr(args, "profile", False) else None
-    instr = _Instrumentation(args)
+    governor_config = _governor_config(args)
+    fault_plan = _fault_plan(args)
+    arbiter_config = _arbiter_config(args)
+    trace_path = args.trace
+    metrics_path = args.metrics
+    profile = SelfProfile() if args.profile else None
     with contextlib.ExitStack() as stack:
         tracer = None
         registry = None
@@ -395,7 +256,43 @@ def _instrumented(args, out, fn: Callable[["_Instrumentation"], int]) -> int:
             stack.enter_context(use_metrics(registry))
         if profile is not None:
             stack.enter_context(profile)
-        rc = fn(instr)
+        jobs = resolve_jobs(args.jobs, default=os.cpu_count() or 1)
+        cache = (
+            None if args.no_cache
+            else ResultCache(Path(args.cache_dir) if args.cache_dir else None)
+        )
+        stats = SweepStats(experiment=experiment, jobs=jobs)
+        (headers, rows, notes), reports = run_plan(
+            plan, jobs=jobs, cache=cache, refresh=args.refresh, stats=stats,
+            governor=(governor_config.to_dict()
+                      if governor_config is not None else None),
+            faults=fault_plan.to_dict() if fault_plan is not None else None,
+            arbiter=(arbiter_config.to_dict()
+                     if arbiter_config is not None else None),
+        )
+        # The sweep summary goes to stderr so stdout stays byte-comparable
+        # across warm and cold runs; bench-report reads the saved copy.
+        line = stats.one_line()
+        if cache is not None:
+            cs = cache.stats()
+            line += (
+                f" | disk cache {cs['hits']} hits / {cs['misses']} misses"
+                f" / {cs['writes']} writes ({cache.root})"
+            )
+            if cs.get("write_errors"):
+                line += f" | {cs['write_errors']} WRITE ERRORS (store degraded)"
+        print(line, file=sys.stderr)
+        ambient = ambient_metrics_registry()
+        save_sweep_stats(
+            stats, cache=cache,
+            metrics=ambient.snapshot() if ambient is not None else None,
+        )
+        print(render_experiment(title, headers, rows, notes), file=out)
+        if json_dir is not None:
+            from .bench import save_json
+
+            path = save_json(title, headers, rows, notes, results_dir=json_dir)
+            print(f"wrote {path}", file=out)
     if tracer is not None:
         print(
             f"wrote {tracer.records_written} trace records to {trace_path}",
@@ -413,43 +310,42 @@ def _instrumented(args, out, fn: Callable[["_Instrumentation"], int]) -> int:
             return 2
         n = len(snapshot["counters"]) + len(snapshot["gauges"]) + len(snapshot["series"])
         print(f"wrote {n} metrics to {metrics_path}", file=out)
-    if instr.governor_config is not None and instr.governor_reports:
+    if governor_config is not None and reports["governor"]:
         from .runtime import merge_reports
         from .runtime.telemetry import GovernorReport
 
-        reports = [GovernorReport(**d) for d in instr.governor_reports]
-        merged = merge_reports(reports)
-        print(merged.one_line(), file=out)
+        governor_reports = [GovernorReport(**d) for d in reports["governor"]]
+        print(merge_reports(governor_reports).one_line(), file=out)
         if profile is not None:
             from .bench import save_governor_json
 
-            path = save_governor_json(reports)
+            path = save_governor_json(governor_reports)
             print(f"wrote governor telemetry to {path}", file=out)
-    if instr.fault_plan is not None:
-        reports = instr.fault_reports
-        if reports:
+    if fault_plan is not None:
+        fault_reports = reports["faults"]
+        if fault_reports:
             print(
-                f"faults[seed={instr.fault_plan.seed}] over {len(reports)} runs: "
-                f"{sum(r['link_events'] for r in reports)} link events, "
-                f"{sum(r['straggled_calls'] for r in reports)} slowed computes, "
-                f"{sum(r['noise_pulses'] for r in reports)} noise pulses, "
-                f"{sum(r['jittered_transitions'] for r in reports)} "
+                f"faults[seed={fault_plan.seed}] over {len(fault_reports)} runs: "
+                f"{sum(r['link_events'] for r in fault_reports)} link events, "
+                f"{sum(r['straggled_calls'] for r in fault_reports)} slowed computes, "
+                f"{sum(r['noise_pulses'] for r in fault_reports)} noise pulses, "
+                f"{sum(r['jittered_transitions'] for r in fault_reports)} "
                 "jittered transitions",
                 file=out,
             )
         else:
             print("faults: no simulation ran under the plan", file=out)
-    if instr.arbiter_config is not None:
-        reports = instr.arbiter_reports
-        if reports:
-            cfg = instr.arbiter_config
+    if arbiter_config is not None:
+        arbiter_reports = reports["arbiter"]
+        if arbiter_reports:
             print(
-                f"arbiter[{cfg.policy.value} @ {cfg.power_cap_w:g} W] over "
-                f"{len(reports)} runs: "
-                f"{sum(r['ticks'] for r in reports)} ticks, "
-                f"{sum(r['rebalances'] for r in reports)} rebalances, "
-                f"{sum(r['freq_changes'] for r in reports)} node freq "
-                f"changes, {sum(r['donated_j'] for r in reports):.3g} J "
+                f"arbiter[{arbiter_config.policy.value} @ "
+                f"{arbiter_config.power_cap_w:g} W] over "
+                f"{len(arbiter_reports)} runs: "
+                f"{sum(r['ticks'] for r in arbiter_reports)} ticks, "
+                f"{sum(r['rebalances'] for r in arbiter_reports)} rebalances, "
+                f"{sum(r['freq_changes'] for r in arbiter_reports)} node freq "
+                f"changes, {sum(r['donated_j'] for r in arbiter_reports):.3g} J "
                 "donated",
                 file=out,
             )
@@ -457,7 +353,7 @@ def _instrumented(args, out, fn: Callable[["_Instrumentation"], int]) -> int:
             print("arbiter: no simulation ran under the cap", file=out)
     if profile is not None:
         print(profile.report(), file=out)
-    return rc
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -644,105 +540,76 @@ def cmd_info(out) -> int:
     return 0
 
 
-def cmd_experiment(name: str, out, json_dir=None, args=None, instr=None) -> int:
-    if args is None:
-        headers, rows, notes = EXPERIMENTS[name]()
-    else:
-        setup = _RunnerSetup(args, experiment=name)
-        with bench.use_runner(
-            jobs=setup.jobs, cache=setup.cache,
-            refresh=setup.refresh, stats=setup.stats,
-            governor=instr.governor_params if instr is not None else None,
-            faults=instr.fault_params if instr is not None else None,
-            arbiter=instr.arbiter_params if instr is not None else None,
-        ) as scope:
-            headers, rows, notes = EXPERIMENTS[name]()
-        if instr is not None:
-            instr.governor_reports.extend(scope.governor_reports)
-            instr.fault_reports.extend(scope.fault_reports)
-            instr.arbiter_reports.extend(scope.arbiter_reports)
-        setup.finish()
-    print(render_experiment(name, headers, rows, notes), file=out)
-    if json_dir is not None:
-        from .bench import save_json
-
-        path = save_json(name, headers, rows, notes, results_dir=json_dir)
-        print(f"wrote {path}", file=out)
-    return 0
+def cmd_experiment(args, out, name: str) -> int:
+    return _run_command(args, out, name, CELL_PLANS[name](), name,
+                        json_dir=args.json)
 
 
-def cmd_osu(args, out, instr=None) -> int:
-    progress = ProgressMode.BLOCKING if args.blocking else ProgressMode.POLLING
-    sizes = [args.size] if args.size is not None else list(osu.DEFAULT_SIZES[2:9])
-    metrics: List[float]
+def cmd_osu(args, out) -> int:
     from .runner import SweepCell
 
-    if instr is None:
-        instr = _Instrumentation(args)
-    setup = _RunnerSetup(args, experiment=f"osu-{args.bench}")
+    progress = ProgressMode.BLOCKING if args.blocking else ProgressMode.POLLING
+    sizes = [args.size] if args.size is not None else list(osu.DEFAULT_SIZES[2:9])
+    experiment = f"osu-{args.bench}"
     cells = [
         SweepCell(
-            experiment=f"osu-{args.bench}",
+            experiment=experiment,
             kind="osu",
-            params=instr.cell_params({
+            params={
                 "bench": args.bench,
                 "nbytes": nbytes,
                 "n_ranks": args.ranks,
                 "mode": args.mode,
                 "blocking": args.blocking,
                 "intra_node": args.intra_node,
-            }),
+            },
             label=f"osu_{args.bench}/{bytes_label(nbytes)}",
         )
         for nbytes in sizes
     ]
-    results = setup.run(cells)
-    instr.collect(results)
-    metrics = [r.extra["metric"] for r in results]
-    setup.finish()
-    if args.bench in ("bw", "bibw"):
-        rows = [(bytes_label(n), m / 1e9) for n, m in zip(sizes, metrics)]
-        headers = ["Size", "Bandwidth (GB/s)"]
+
+    bandwidth = args.bench in ("bw", "bibw")
+    if bandwidth:
+        header = "Bandwidth (GB/s)"
     elif args.bench == "latency":
-        rows = [(bytes_label(n), m * 1e6) for n, m in zip(sizes, metrics)]
-        headers = ["Size", "Latency (us)"]
+        header = "Latency (us)"
     else:
-        rows = [(bytes_label(n), m * 1e6) for n, m in zip(sizes, metrics)]
-        headers = ["Size", "Avg latency (us)"]
+        header = "Avg latency (us)"
+
+    def assemble(results):
+        metrics = [r.extra["metric"] for r in results]
+        rows = [(bytes_label(n), m / 1e9 if bandwidth else m * 1e6)
+                for n, m in zip(sizes, metrics)]
+        return ["Size", header], rows, ""
+
     title = f"osu_{args.bench} ({args.ranks} ranks, {args.mode}, {progress.value})"
-    print(render_experiment(title, headers, rows), file=out)
-    return 0
+    return _run_command(args, out, experiment, SweepPlan(cells, assemble), title)
 
 
-def cmd_app(args, out, instr=None) -> int:
+def cmd_app(args, out) -> int:
     from .runner import SweepCell
 
-    if instr is None:
-        instr = _Instrumentation(args)
-    setup = _RunnerSetup(args, experiment=f"app-{args.name}")
+    experiment = f"app-{args.name}"
     cell = SweepCell(
-        experiment=f"app-{args.name}",
+        experiment=experiment,
         kind="app",
-        params=instr.cell_params(
-            {"app": args.name, "ranks": args.ranks, "mode": args.mode}
-        ),
+        params={"app": args.name, "ranks": args.ranks, "mode": args.mode},
         label=f"{args.name}/{args.ranks}r/{args.mode}",
     )
-    results = setup.run([cell])
-    instr.collect(results)
-    (r,) = results
-    setup.finish()
-    app_name = r.app["name"]
-    rows = [
-        ("total time (s)", r.app["total_time_s"]),
-        ("alltoall time (s)", r.app["alltoall_time_s"]),
-        ("alltoall fraction", r.app["alltoall_fraction"]),
-        ("energy (kJ)", r.app["energy_kj"]),
-        ("avg power (kW)", r.average_power_w / 1e3),
-    ]
-    title = f"{app_name} @ {args.ranks} ranks, scheme={args.mode}"
-    print(render_experiment(title, ["metric", "value"], rows), file=out)
-    return 0
+
+    def assemble(results):
+        (r,) = results
+        rows = [
+            ("total time (s)", r.app["total_time_s"]),
+            ("alltoall time (s)", r.app["alltoall_time_s"]),
+            ("alltoall fraction", r.app["alltoall_fraction"]),
+            ("energy (kJ)", r.app["energy_kj"]),
+            ("avg power (kW)", r.average_power_w / 1e3),
+        ]
+        return ["metric", "value"], rows, ""
+
+    title = f"{APPS[args.name].name} @ {args.ranks} ranks, scheme={args.mode}"
+    return _run_command(args, out, experiment, SweepPlan([cell], assemble), title)
 
 
 def cmd_bench_report(args, out) -> int:
@@ -969,8 +836,8 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
     if args.command == "info":
         return cmd_info(out)
     if args.command == "experiments":
-        for name in sorted(EXPERIMENTS):
-            print(f"{name:22s} {EXPERIMENTS[name].__doc__.splitlines()[0]}", file=out)
+        for name in sorted(CELL_PLANS):
+            print(f"{name:22s} {CELL_PLANS[name].__doc__.splitlines()[0]}", file=out)
         return 0
     if args.command == "validate":
         from .validate import is_valid, validate_configuration
@@ -990,16 +857,11 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
                 file=out,
             )
             return 2
-        return _instrumented(
-            args, out,
-            lambda instr: cmd_experiment(
-                name, out, json_dir=args.json, args=args, instr=instr
-            ),
-        )
+        return cmd_experiment(args, out, name)
     if args.command == "osu":
-        return _instrumented(args, out, lambda instr: cmd_osu(args, out, instr))
+        return cmd_osu(args, out)
     if args.command == "app":
-        return _instrumented(args, out, lambda instr: cmd_app(args, out, instr))
+        return cmd_app(args, out)
     if args.command == "bench-report":
         return cmd_bench_report(args, out)
     if args.command == "campaign":

@@ -219,14 +219,31 @@ class FaultPlan:
     @classmethod
     def from_dict(cls, data: dict) -> "FaultPlan":
         """Inverse of :meth:`to_dict` — reconstructs an equal plan (the
-        determinism contract then guarantees identical perturbations)."""
+        determinism contract then guarantees identical perturbations).
+
+        Raises :class:`FaultSpecError` naming every unknown top-level key
+        and every unknown injector field, so a typo cannot quietly turn
+        into an unperturbed or differently seeded plan."""
+        problems = [
+            f"unknown fault plan key {key!r} (expected 'seed', 'injectors')"
+            for key in sorted(set(data) - {"seed", "injectors"})
+        ]
         injectors = []
         for entry in data.get("injectors", ()):
             entry = dict(entry)
             kind = entry.pop("kind", None)
             if kind not in _CLAUSES:
                 raise FaultSpecError(f"unknown injector kind {kind!r}")
-            injectors.append(_CLAUSES[kind][0](**entry))
+            injector_cls = _CLAUSES[kind][0]
+            known = {f.name for f in fields(injector_cls)}
+            problems += [
+                f"{kind}: unknown injector field {key!r} "
+                f"(expected one of {', '.join(sorted(known))})"
+                for key in sorted(set(entry) - known)
+            ]
+            if not problems:
+                injectors.append(injector_cls(**entry))
+        _require(not problems, "; ".join(problems))
         return cls(seed=data.get("seed", 0), injectors=tuple(injectors))
 
 

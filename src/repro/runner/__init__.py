@@ -27,7 +27,6 @@ from .cache import (
     environment_signature,
 )
 from .cells import (
-    APP_SPECS,
     SUBSTRATE_COUNTERS,
     CellResult,
     SweepCell,
@@ -46,7 +45,6 @@ from .pool import (
 )
 
 __all__ = [
-    "APP_SPECS",
     "CACHE_SCHEMA",
     "CellResult",
     "RUNNER_METRICS",

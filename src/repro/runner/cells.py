@@ -43,8 +43,9 @@ Cell kinds
     The mixed-size adaptive/governor workload: per size, one alltoall
     plus one 16×-smaller bcast.
 ``app``
-    One application profile (CPMD/NAS) under a static scheme or an
-    online governor policy.
+    One application profile (CPMD/NAS, named by its
+    :data:`repro.apps.APPS` key) under a static scheme or an online
+    governor policy, optionally faulted or under a power cap.
 ``osu``
     One OSU microbenchmark point (latency / bw / bibw / collective).
 ``multijob``
@@ -58,10 +59,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional
+from typing import Any, Callable, Dict, Mapping, Optional
 
 __all__ = [
-    "APP_SPECS",
     "CellResult",
     "SUBSTRATE_COUNTERS",
     "SweepCell",
@@ -418,16 +418,16 @@ def _execute_mixed(params: Mapping) -> CellResult:
 
 
 def _execute_app(params: Mapping) -> CellResult:
-    from ..apps import run_app
+    from ..apps import APPS, run_app
     from ..collectives.registry import PowerMode
 
-    app = APP_SPECS[params["app"]]
     app_result = run_app(
-        app,
+        APPS[params["app"]],
         int(params["ranks"]),
         PowerMode(params.get("mode", "none")),
         governor=_cell_governor(params),
         faults=_cell_faults(params),
+        arbiter=_cell_arbiter(params),
     )
     result = app_result.sim
     cell = CellResult(
@@ -609,49 +609,3 @@ def execute_cell(cell: SweepCell, capture: Optional[Any] = None) -> CellResult:
     result.wall_time_s = time.perf_counter() - wall0
     return result
 
-
-def _app_specs() -> Dict[str, Any]:
-    from ..apps import (
-        CPMD_TA_INP_MD,
-        CPMD_WAT32_INP1,
-        CPMD_WAT32_INP2,
-        NAS_FT,
-        NAS_IS,
-    )
-
-    return {
-        "nas-ft": NAS_FT,
-        "nas-is": NAS_IS,
-        "cpmd-wat1": CPMD_WAT32_INP1,
-        "cpmd-wat2": CPMD_WAT32_INP2,
-        "cpmd-ta": CPMD_TA_INP_MD,
-    }
-
-
-class _AppRegistry:
-    """Lazy name → :class:`~repro.apps.base.AppSpec` mapping (defers the
-    apps import so ``repro.runner`` stays cheap to import in workers)."""
-
-    def __init__(self) -> None:
-        self._specs: Optional[Dict[str, Any]] = None
-
-    def _load(self) -> Dict[str, Any]:
-        if self._specs is None:
-            self._specs = _app_specs()
-        return self._specs
-
-    def __getitem__(self, name: str):
-        return self._load()[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._load()
-
-    def __iter__(self):
-        return iter(self._load())
-
-    def keys(self) -> List[str]:
-        return sorted(self._load())
-
-
-#: Application registry shared by cells and the CLI ``app`` command.
-APP_SPECS = _AppRegistry()

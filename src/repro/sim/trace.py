@@ -225,7 +225,7 @@ class TeeTracer(Tracer):
 
 # -- ambient default -------------------------------------------------------
 # Components built without an explicit tracer (e.g. jobs constructed deep
-# inside an experiment function) pick up the ambient default, so the CLI's
+# inside a cell executor) pick up the ambient default, so the CLI's
 # ``--trace`` flag reaches every simulation a command runs.
 _DEFAULT: Tracer = NULL_TRACER
 

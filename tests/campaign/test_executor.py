@@ -150,19 +150,18 @@ def test_artifacts_rendered_from_cache(tmp_path):
 
 def test_artifacts_byte_identical_to_direct_experiment_run(tmp_path):
     """The campaign's artifact JSON matches `repro experiment models
-    --json` byte for byte — same functions, same schema, warm cache."""
+    --json` byte for byte — same plan, same schema, warm cache."""
     from pathlib import Path
 
-    from repro import bench, cli
-    from repro.bench import save_json
+    from repro.bench import CELL_PLANS, run_plan, save_json
 
     spec = {"name": "t", "experiments": ["models"]}
     cache = ResultCache(tmp_path / "cache")
     result = _run(tmp_path, spec=spec, cache=cache)
     assert result.ok
 
-    with bench.use_runner(jobs=1, cache=cache):
-        headers, rows, notes = cli.EXPERIMENTS["models"]()
+    (headers, rows, notes), _ = run_plan(CELL_PLANS["models"](), jobs=1,
+                                         cache=cache)
     direct = Path(save_json("models", headers, rows, notes,
                             results_dir=str(tmp_path / "direct")))
     campaign_json = tmp_path / "camp" / "artifacts" / "models.json"

@@ -1,28 +1,13 @@
-"""Registry completeness: the CLI, plan, and campaign layers agree.
+"""Registry completeness: every cell plan survives the wire format.
 
-Campaigns reach experiments through :data:`repro.bench.CELL_PLANS` while
-the CLI reaches them through :data:`repro.cli.EXPERIMENTS`; a name in
-one but not the other means a figure the campaign engine silently
-cannot cover.  And every planned cell must survive the shard wire
-format (``to_dict``/``from_dict``) without changing identity.
+Campaigns, the CLI and the benchmarks all reach experiments through
+:data:`repro.bench.CELL_PLANS`, so every planned cell must survive the
+shard wire format (``to_dict``/``from_dict``) without changing identity,
+and every plan must expand deterministically.
 """
 
 from repro.bench import CELL_PLANS
-from repro.cli import EXPERIMENTS
 from repro.runner import SweepCell, cache_key
-
-
-def test_every_cli_experiment_has_a_cell_plan():
-    missing = sorted(set(EXPERIMENTS) - set(CELL_PLANS))
-    assert not missing, (
-        f"experiments without plan producers (campaigns cannot run "
-        f"them): {missing}"
-    )
-
-
-def test_every_cell_plan_is_cli_reachable():
-    orphaned = sorted(set(CELL_PLANS) - set(EXPERIMENTS))
-    assert not orphaned, f"plans with no CLI experiment: {orphaned}"
 
 
 def test_all_planned_cells_round_trip_the_wire_format():

@@ -79,6 +79,28 @@ def test_bad_governor_policy_rejected():
         _spec(governor="warp-speed")
 
 
+def test_faults_mapping_typo_rejected():
+    # A misspelled key would otherwise run every cell unperturbed.
+    with pytest.raises(CampaignSpecError, match="unknown fault plan key 'injector'"):
+        _spec(faults={"seed": 1, "injector": [{"kind": "degrade"}]})
+
+
+def test_faults_mapping_unknown_injector_field_rejected():
+    with pytest.raises(CampaignSpecError, match="unknown injector field 'factr'"):
+        _spec(faults={"injectors": [{"kind": "degrade", "factr": 0.5}]})
+
+
+def test_faults_mapping_stored_as_given():
+    faults = {"seed": 3, "injectors": [{"kind": "degrade", "factor": 0.5}]}
+    assert _spec(faults=faults).faults == faults
+
+
+def test_grid_faults_mapping_typo_rejected():
+    grid = dict(GRID, params=dict(GRID["params"], faults={"seeed": 2}))
+    with pytest.raises(CampaignSpecError, match="unknown fault plan key 'seeed'"):
+        expand(CampaignSpec.from_dict({"name": "t", "sweeps": [grid]}))
+
+
 def test_governor_string_normalises_to_config_dict():
     spec = _spec(governor="predictive")
     assert isinstance(spec.governor, dict)

@@ -73,6 +73,38 @@ class TestRngSubstreams:
                 != FaultPlan(seed=2).rng("x").random())
 
 
+class TestFromDict:
+    def test_round_trip(self):
+        plan = parse_fault_spec("degrade:factor=0.5;noise;jitter", seed=4)
+        assert FaultPlan.from_dict(plan.to_dict()) == plan
+
+    def test_unknown_top_level_keys_named(self):
+        with pytest.raises(FaultSpecError, match="'injector'.*'seeed'"):
+            FaultPlan.from_dict({
+                "seeed": 3,
+                "injector": [{"kind": "degrade", "factor": 0.5}],
+            })
+
+    def test_misspelled_seed_is_not_seed_zero(self):
+        with pytest.raises(FaultSpecError, match="unknown fault plan key 'seeed'"):
+            FaultPlan.from_dict({"seeed": 3, "injectors": []})
+
+    def test_unknown_injector_fields_named(self):
+        with pytest.raises(FaultSpecError) as info:
+            FaultPlan.from_dict({"seed": 1, "injectors": [
+                {"kind": "degrade", "factr": 0.5},
+                {"kind": "noise", "period": 1e-3},
+            ]})
+        message = str(info.value)
+        assert "degrade: unknown injector field 'factr'" in message
+        assert "noise: unknown injector field 'period'" in message
+        assert "period_s" in message  # the valid names are listed
+
+    def test_unknown_injector_kind_named(self):
+        with pytest.raises(FaultSpecError, match="'cosmic'"):
+            FaultPlan.from_dict({"injectors": [{"kind": "cosmic"}]})
+
+
 class TestSpecGrammar:
     def test_full_spec_round_trip(self):
         plan = parse_fault_spec(

@@ -12,7 +12,8 @@ import json
 
 import pytest
 
-from repro.bench import extension_faults_governor, extension_governor_alltoall, use_runner
+from repro.bench import run_plan
+from repro.bench.experiments import plan_ext_faults, plan_ext_governor_alltoall
 from repro.runner import clear_memo
 
 
@@ -23,10 +24,10 @@ def _fresh_memo():
     clear_memo()
 
 
-def _series(experiment_fn, jobs, **kwargs):
+def _series(plan_fn, jobs, **kwargs):
     """Run an experiment through the runner and canonicalise its rows."""
-    with use_runner(jobs=jobs, cache=None):
-        headers, rows, _notes = experiment_fn(**kwargs)
+    (headers, rows, _notes), _ = run_plan(plan_fn(**kwargs), jobs=jobs,
+                                          cache=None)
     return json.dumps(
         {"headers": headers, "rows": [list(r) for r in rows]},
         sort_keys=True,
@@ -35,15 +36,15 @@ def _series(experiment_fn, jobs, **kwargs):
 
 def test_governor_experiment_jobs4_matches_jobs1():
     kwargs = {"sizes": (64 << 10,), "iterations": 2, "n_ranks": 32}
-    inline = _series(extension_governor_alltoall, 1, **kwargs)
+    inline = _series(plan_ext_governor_alltoall, 1, **kwargs)
     clear_memo()  # jobs=4 must recompute, not replay the memo
-    parallel = _series(extension_governor_alltoall, 4, **kwargs)
+    parallel = _series(plan_ext_governor_alltoall, 4, **kwargs)
     assert parallel == inline
 
 
 def test_fault_experiment_jobs4_matches_jobs1():
     kwargs = {"sizes": (64 << 10,), "iterations": 2, "n_ranks": 32}
-    inline = _series(extension_faults_governor, 1, **kwargs)
+    inline = _series(plan_ext_faults, 1, **kwargs)
     clear_memo()
-    parallel = _series(extension_faults_governor, 4, **kwargs)
+    parallel = _series(plan_ext_faults, 4, **kwargs)
     assert parallel == inline

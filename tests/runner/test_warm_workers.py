@@ -17,8 +17,12 @@ import json
 
 import pytest
 
-from repro.bench import instrument_cells, use_runner
-from repro.bench.experiments import plan_ext_faults, plan_ext_governor_alltoall
+from repro.bench import instrument_cells, run_plan
+from repro.bench.experiments import (
+    plan_ext_faults,
+    plan_ext_governor_alltoall,
+    plan_fig2c,
+)
 from repro.cluster.specs import ClusterSpec
 from repro.runner import (
     ResultCache,
@@ -156,9 +160,9 @@ def test_instrumented_cells_jobs4_and_warm_cache_identical(tmp_path,
     assert warm_metrics == inline_metrics
 
 
-def test_use_runner_overlay_collects_reports_and_replays_from_cache(tmp_path):
-    """CLI semantics: use_runner(governor=..., faults=...) overlays plan
-    cells, collects their report dicts, and a warm-cache rerun collects
+def test_run_plan_overlay_collects_reports_and_replays_from_cache(tmp_path):
+    """CLI semantics: run_plan(governor=..., faults=...) overlays plan
+    cells, returns their report dicts, and a warm-cache rerun returns
     the identical reports without executing anything."""
     from repro.faults import parse_fault_spec
     from repro.runtime import GovernorConfig, GovernorPolicy
@@ -169,26 +173,25 @@ def test_use_runner_overlay_collects_reports_and_replays_from_cache(tmp_path):
 
     def sweep():
         clear_memo()
-        from repro.bench import fig2c_reduce_phases
-
         stats = SweepStats()
-        with use_runner(jobs=1, cache=cache, stats=stats,
-                        governor=governor, faults=faults) as scope:
-            headers, rows, _ = fig2c_reduce_phases(sizes=(4, 64))
-        return scope, stats, json.dumps([headers, [list(r) for r in rows]],
-                                        sort_keys=True)
+        (headers, rows, _), reports = run_plan(
+            plan_fig2c(sizes=(4, 64)), jobs=1, cache=cache, stats=stats,
+            governor=governor, faults=faults,
+        )
+        return reports, stats, json.dumps([headers, [list(r) for r in rows]],
+                                          sort_keys=True)
 
-    cold_scope, cold_stats, cold_series = sweep()
-    warm_scope, warm_stats, warm_series = sweep()
+    cold_reports, cold_stats, cold_series = sweep()
+    warm_reports, warm_stats, warm_series = sweep()
 
     assert cold_stats.unique_executed == 2
     assert warm_stats.cache_hits == 2 and warm_stats.executed == 0
     assert warm_series == cold_series
-    assert len(cold_scope.governor_reports) == 2
-    assert len(cold_scope.fault_reports) == 2
-    assert warm_scope.governor_reports == cold_scope.governor_reports
-    assert warm_scope.fault_reports == cold_scope.fault_reports
-    assert all(r["seed"] == 3 for r in cold_scope.fault_reports)
+    assert len(cold_reports["governor"]) == 2
+    assert len(cold_reports["faults"]) == 2
+    assert warm_reports["governor"] == cold_reports["governor"]
+    assert warm_reports["faults"] == cold_reports["faults"]
+    assert all(r["seed"] == 3 for r in cold_reports["faults"])
 
 
 def test_plan_declared_configs_win_over_overlay():

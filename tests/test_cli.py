@@ -4,7 +4,8 @@ import io
 
 import pytest
 
-from repro.cli import EXPERIMENTS, _parse_size, build_parser, main
+from repro.bench import CELL_PLANS
+from repro.cli import _parse_size, build_parser, main
 
 
 def run_cli(*argv):
@@ -35,10 +36,11 @@ def test_experiments_listing():
 
 
 def test_experiment_names_all_registered():
-    # Every experiment in the registry is callable with no args.
-    for fn in EXPERIMENTS.values():
-        assert callable(fn)
-        assert fn.__doc__
+    # Every registered plan producer is callable with no args and carries
+    # the docstring whose first line `repro experiments` lists.
+    for name, producer in CELL_PLANS.items():
+        assert callable(producer), name
+        assert producer.__doc__ and producer.__doc__.strip(), name
 
 
 def test_osu_latency_command():
@@ -176,6 +178,19 @@ def test_power_cap_end_to_end_prints_arbiter_summary():
     assert code == 0
     assert "arbiter[uniform @ 2000 W]" in text
     assert "freq changes" in text
+
+
+def test_power_cap_reaches_app_cells():
+    # App cells build their session under the cap: the run reports the
+    # arbiter and its average power respects the 1000 W budget (the
+    # uncapped run draws ~1.15 kW).
+    code, text = run_cli(
+        "app", "nas-is", "--ranks", "32", "--power-cap", "1000", "--no-cache",
+    )
+    assert code == 0
+    assert "arbiter[uniform @ 1000 W] over 1 runs" in text
+    (power_row,) = [line for line in text.splitlines() if "avg power (kW)" in line]
+    assert float(power_row.split()[-1]) <= 1.0
 
 
 # -- observability surface (repro.obs) ---------------------------------------
