@@ -10,7 +10,7 @@ segment that just ended) and then applies the change.  The
 from __future__ import annotations
 
 import enum
-from typing import Callable, List, Optional
+from typing import Callable, Iterable, List, Optional
 
 from ..sim.trace import NULL_TRACER, Tracer
 from .specs import CpuSpec, NUM_TSTATES, ThrottleGranularity, tstate_duty
@@ -54,6 +54,7 @@ class Core:
         "speed_factor",
         "_listeners",
         "tracer",
+        "nic_links",
     )
 
     def __init__(
@@ -78,6 +79,10 @@ class Core:
         self._update_speed()
         self._listeners: List[StateListener] = []
         self.tracer: Tracer = NULL_TRACER
+        #: Links whose capacity follows this core's frequency (see
+        #: ``Node.nic_links``); a frequency change drops their cached
+        #: capacity, whoever makes it.
+        self.nic_links: Iterable = ()
 
     # -- observation -------------------------------------------------------
     def add_listener(self, listener: StateListener) -> None:
@@ -115,6 +120,8 @@ class Core:
             )
         self.frequency_ghz = snapped
         self._update_speed()
+        for link in self.nic_links:
+            link.invalidate()
 
     def set_tstate(self, level: int, now: float) -> None:
         """Apply a throttle change (T0..T7)."""

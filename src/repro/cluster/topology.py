@@ -7,6 +7,7 @@ i.e. ``os_id = local_socket + n_sockets * index_within_socket``.
 
 from __future__ import annotations
 
+import weakref
 from typing import Dict, List
 
 from .cpu import Core, Socket, ThrottleDomain
@@ -16,13 +17,21 @@ from .specs import ClusterSpec
 class Node:
     """One compute node: sockets of cores plus one InfiniBand HCA."""
 
-    __slots__ = ("node_id", "sockets", "cores", "_by_os_id")
+    __slots__ = ("node_id", "sockets", "cores", "_by_os_id", "nic_links")
 
     def __init__(self, node_id: int, sockets: List[Socket]):
         self.node_id = node_id
         self.sockets = sockets
         self.cores: List[Core] = [c for s in sockets for c in s.cores]
         self._by_os_id: Dict[int, Core] = {c.os_id: c for c in self.cores}
+        #: The node's HCA links in every network built on the cluster;
+        #: their capacity follows :attr:`mean_dvfs_ratio`, so every core
+        #: of the node shares this set (see ``Core.nic_links``).  Held
+        #: weakly: a link's capacity function refers to its node, and the
+        #: cluster must not keep a network alive or form a cycle with it.
+        self.nic_links: "weakref.WeakSet" = weakref.WeakSet()
+        for core in self.cores:
+            core.nic_links = self.nic_links
 
     def core_by_os_id(self, os_id: int) -> Core:
         """Look up a core by its OS number within this node."""

@@ -151,9 +151,7 @@ class MpiJob:
         self.net = session.net
         self.progress = progress
         if progress is ProgressMode.BLOCKING:
-            factor = self.net.spec.blocking_nic_factor
-            for node_id in self.net.progress_factor:
-                self.net.progress_factor[node_id] = factor
+            self.net.set_progress_factor(self.net.spec.blocking_nic_factor)
         self.power_model = session.power_model
         self.accountant = session.accountant
         self.engine = MessageEngine(

@@ -264,7 +264,7 @@ class MessageEngine:
         pair_speed = min(src_core.speed_factor, dst_core.speed_factor)
         if src_node == dst_node and self.progress is ProgressMode.POLLING:
             latency = self.spec.shm_latency
-            links = [self.net.mem(src_node)]
+            links = self.net.shm_path(src_node)
             fmax = src_core.spec.fmax
             copy_factor = min(
                 self.spec.shm_copy_factor(c.frequency_ghz / fmax, c.duty)

@@ -82,6 +82,19 @@ def test_socket_peers_and_leader(amap):
     assert amap.socket_leader(0) == 0
 
 
+def test_socket_lookups_match_the_cluster_and_copy_groups(amap, cluster):
+    """Sockets are resolved once per job; the answers are the cluster's,
+    and every caller gets its own group list."""
+    for rank in range(amap.n_ranks):
+        socket = cluster.socket_of_core(amap.core_of(rank))
+        assert amap.socket_of(rank) is socket
+        assert amap.socket_group(rank) == socket.local_index
+    group = amap.group_a_ranks(1)
+    group.append(99)
+    assert amap.group_a_ranks(1) == [8, 9, 10, 11]
+    assert amap.group_b_ranks(1) == [12, 13, 14, 15]
+
+
 def test_same_node(amap):
     assert amap.same_node(0, 7)
     assert not amap.same_node(7, 8)

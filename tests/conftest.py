@@ -21,3 +21,19 @@ def _private_result_cache(tmp_path_factory):
         os.environ.pop("REPRO_CACHE_DIR", None)
     else:
         os.environ["REPRO_CACHE_DIR"] = previous
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _private_working_dir(tmp_path_factory):
+    """Run the suite from a per-session temporary working directory.
+
+    ``experiment``/``osu``/``app`` write cwd-relative outputs
+    (``results/last_sweep.json``, ``results/governor.json``); run from
+    the checkout they would overwrite the user's last sweep, and
+    ``repro bench-report`` would then report a test's sweep.  Tests
+    anchor their own files on ``__file__`` or ``tmp_path``.
+    """
+    previous = os.getcwd()
+    os.chdir(tmp_path_factory.mktemp("cwd"))
+    yield
+    os.chdir(previous)

@@ -176,10 +176,18 @@ class ScalarFabric:
     def capacities_changed(self, links: Optional[Iterable[Link]] = None) -> None:
         """Re-read link capacities (call after DVFS transitions).
 
-        With ``links`` given, only the components touching those links are
-        re-rated; without, every link currently carrying flows is treated
+        Drops the cached capacity of ``links`` (of every registered link
+        when None), then re-rates the components touching those links;
+        without ``links``, every link currently carrying flows is treated
         as changed.
         """
+        if links is None:
+            for link in self._links.values():
+                link.invalidate()
+        else:
+            links = tuple(links)
+            for link in links:
+                link.invalidate()
         if not self._flows:
             return
         if links is None:
