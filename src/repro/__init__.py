@@ -40,7 +40,6 @@ from .faults import (
     Straggler,
     TransitionJitter,
     parse_fault_spec,
-    use_faults,
 )
 from .mpi import JobResult, MpiJob, ProgressMode, RankContext, run_collective_once
 from .network import NetworkSpec
@@ -54,8 +53,6 @@ from .runtime import (
     GovernorPolicy,
     GovernorReport,
     PowerArbiter,
-    use_arbiter,
-    use_governor,
 )
 from .sim import (
     JsonlTracer,
@@ -111,9 +108,6 @@ __all__ = [
     "TransitionJitter",
     "parse_fault_spec",
     "run_collective_once",
-    "use_arbiter",
-    "use_faults",
-    "use_governor",
     "use_tracer",
     "__version__",
 ]

@@ -30,7 +30,7 @@ from ..models import (
     t_bcast_scatter_allgather,
 )
 from ..mpi.p2p import ProgressMode
-from ..runner import CellResult, SweepCell, run_cells
+from ..runner import CellResult, SweepCell, cache_key, run_cells
 from .report import bytes_label
 
 #: Message sweep of the power figures (7a, 8a; paper x-axis 16K–1M).
@@ -122,6 +122,7 @@ def run_plan(
     governor: Optional[Dict[str, Any]] = None,
     faults: Optional[Dict[str, Any]] = None,
     arbiter: Optional[Dict[str, Any]] = None,
+    capture=None,
 ):
     """Run ``plan`` through the one cell runner and fold its results.
 
@@ -132,20 +133,31 @@ def run_plan(
     become cell parameters this way.  Every cell then goes through
     :func:`run_cells` (memo > disk cache > warm-worker pool/inline).
 
+    ``capture`` (a :class:`~repro.obs.capture.CaptureConfig`, or None
+    for nothing) names the observability channels every cell collects.
+
     Returns ``(table, reports)``: the assembled ``(headers, rows,
     notes)`` and a dict holding, under ``"governor"``/``"faults"``/
-    ``"arbiter"``, the report dicts of the cells each overlay touched.
-    Reports round-trip the result cache, so a warm rerun reports
-    identically to a cold one.
+    ``"arbiter"``, the report dicts of the cells each overlay touched,
+    and under ``"captured"`` the observability payloads
+    (:class:`~repro.obs.capture.CellMetrics` dicts) of the plan's unique
+    cells, once each in input order (empty without ``capture``).
+    Reports and payloads round-trip the result cache, so a warm rerun
+    reports identically to a cold one.
     """
     cells, *overlaid = instrument_cells(plan.cells, governor, faults, arbiter)
     results = run_cells(cells, jobs=jobs, cache=cache, refresh=refresh,
-                        stats=stats)
+                        stats=stats, capture=capture)
     reports = {
         kind: [getattr(results[i], kind) for i in idx
                if getattr(results[i], kind) is not None]
         for kind, idx in zip(("governor", "faults", "arbiter"), overlaid)
     }
+    captured: Dict[str, Any] = {}
+    if capture:
+        for cell, result in zip(cells, results):
+            captured.setdefault(cache_key(cell), result.metrics)
+    reports["captured"] = list(captured.values())
     return plan.assemble(results), reports
 
 

@@ -20,10 +20,8 @@ resume-from-anywhere semantics:
 
 Campaign-level accounting (probe hits, executions, failures, p50/p95
 cell wall time, per-shard stats) lands in ``telemetry.json`` next to
-the manifest, in the runner metrics registry
-(:data:`repro.runner.RUNNER_METRICS`, ``campaign.*`` counters), and in
-``results/last_sweep.json`` so ``repro bench-report`` covers campaigns
-with zero new plumbing.
+the manifest, and in ``results/last_sweep.json`` so ``repro
+bench-report`` covers campaigns with zero new plumbing.
 """
 
 from __future__ import annotations
@@ -34,7 +32,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional
 
-from ..runner import RUNNER_METRICS, ResultCache, SweepStats, resolve_jobs
+from ..runner import ResultCache, SweepStats, resolve_jobs
 from .artifacts import render_artifacts
 from .drivers import CampaignDriver, LocalPoolDriver
 from .manifest import CampaignManifest
@@ -181,12 +179,6 @@ def run_campaign(
     }
     hits_all = probe_hits + stats.cache_hits + stats.memo_hits
     telemetry["hit_rate"] = hits_all / len(plan) if len(plan) else 0.0
-
-    RUNNER_METRICS.inc("campaign.runs")
-    RUNNER_METRICS.inc("campaign.cells.total", len(plan))
-    RUNNER_METRICS.inc("campaign.cells.probe_hits", probe_hits)
-    RUNNER_METRICS.inc("campaign.cells.executed", telemetry["executed"])
-    RUNNER_METRICS.inc("campaign.cells.failed", failed)
 
     # -- artifact stage ------------------------------------------------
     result = CampaignResult(

@@ -36,9 +36,10 @@ shard their independent simulation cells across worker processes and
 content-addressed result cache (see :mod:`repro.runner`).  Parallel
 output is bit-identical to serial output.  The observability flags
 (``--trace`` / ``--metrics`` / ``--profile``) ride through the runner:
-each cell captures its payload wherever it runs and the parent replays
-payloads in submit order (see :mod:`repro.obs`), so ``--jobs 4`` records
-exactly what ``--jobs 1`` does.  ``--governor`` / ``--faults`` /
+each cell captures its payload wherever it runs, the results carry the
+payloads back, and the command writes them out in input order (see
+:mod:`repro.obs`), so ``--jobs 4`` records exactly what ``--jobs 1``
+does.  ``--governor`` / ``--faults`` /
 ``--power-cap`` are plan parameters: the configs serialize into each
 cell's spec (and its cache key), workers reconstruct them, and the
 per-run report dicts ride back on the results — there is exactly one
@@ -221,41 +222,41 @@ def _run_command(args, out, experiment: str, plan: SweepPlan, title: str,
     """Run ``plan`` for one ``experiment``/``osu``/``app`` command.
 
     The --governor/--faults/--power-cap flags become configs that
-    :func:`run_plan` overlays onto the plan's cells, and the
-    --jobs/--cache-dir/--no-cache/--refresh flags drive its runner.  The
-    whole run sits under the --trace/--metrics/--profile scopes.  After
-    the table come the instrumentation summary lines.  They are built
-    from the report dicts the overlaid cells return, which round-trip
-    the result cache, so a warm rerun prints them byte-identically.
+    :func:`run_plan` overlays onto the plan's cells, the
+    --trace/--metrics/--profile flags become the
+    :class:`~repro.obs.capture.CaptureConfig` every cell collects, and
+    the --jobs/--cache-dir/--no-cache/--refresh flags drive its runner.
+    The captured payloads come back in input order: their records go to
+    the trace file, their snapshots merge into one metrics registry and
+    their profile samples fold into the --profile report.  After the
+    table come the instrumentation summary lines, built from the report
+    dicts the overlaid cells return.  Reports and payloads round-trip the
+    result cache, so a warm rerun prints and writes them
+    byte-identically.
     """
-    from .bench.profile import SelfProfile
-    from .obs.metrics import ambient_metrics_registry
+    from .obs.capture import CaptureConfig
+    from .obs.metrics import MetricsRegistry
     from .runner import ResultCache, SweepStats, resolve_jobs, save_sweep_stats
-    from .sim.trace import JsonlTracer, use_tracer
+    from .sim.trace import JsonlTracer
 
     governor_config = _governor_config(args)
     fault_plan = _fault_plan(args)
     arbiter_config = _arbiter_config(args)
     trace_path = args.trace
     metrics_path = args.metrics
-    profile = SelfProfile() if args.profile else None
+    capture = CaptureConfig(trace=trace_path is not None,
+                            metrics=metrics_path is not None,
+                            profile=args.profile)
+    registry = MetricsRegistry() if capture.metrics else None
+    samples = []
     with contextlib.ExitStack() as stack:
         tracer = None
-        registry = None
         if trace_path is not None:
             try:
                 tracer = stack.enter_context(JsonlTracer(trace_path))
             except OSError as exc:
                 print(f"cannot open trace file {trace_path!r}: {exc}", file=out)
                 return 2
-            stack.enter_context(use_tracer(tracer))
-        if metrics_path is not None:
-            from .obs.metrics import MetricsRegistry, use_metrics
-
-            registry = MetricsRegistry()
-            stack.enter_context(use_metrics(registry))
-        if profile is not None:
-            stack.enter_context(profile)
         jobs = resolve_jobs(args.jobs, default=os.cpu_count() or 1)
         cache = (
             None if args.no_cache
@@ -269,7 +270,15 @@ def _run_command(args, out, experiment: str, plan: SweepPlan, title: str,
             faults=fault_plan.to_dict() if fault_plan is not None else None,
             arbiter=(arbiter_config.to_dict()
                      if arbiter_config is not None else None),
+            capture=capture,
         )
+        for payload in reports["captured"]:
+            if tracer is not None:
+                for rec in payload["records"]:
+                    tracer.emit(**rec)
+            if registry is not None:
+                registry.merge_snapshot(payload["metrics"])
+            samples.extend(payload["profile"] or ())
         # The sweep summary goes to stderr so stdout stays byte-comparable
         # across warm and cold runs; bench-report reads the saved copy.
         line = stats.one_line()
@@ -282,10 +291,9 @@ def _run_command(args, out, experiment: str, plan: SweepPlan, title: str,
             if cs.get("write_errors"):
                 line += f" | {cs['write_errors']} WRITE ERRORS (store degraded)"
         print(line, file=sys.stderr)
-        ambient = ambient_metrics_registry()
         save_sweep_stats(
             stats, cache=cache,
-            metrics=ambient.snapshot() if ambient is not None else None,
+            metrics=registry.snapshot() if registry is not None else None,
         )
         print(render_experiment(title, headers, rows, notes), file=out)
         if json_dir is not None:
@@ -316,7 +324,7 @@ def _run_command(args, out, experiment: str, plan: SweepPlan, title: str,
 
         governor_reports = [GovernorReport(**d) for d in reports["governor"]]
         print(merge_reports(governor_reports).one_line(), file=out)
-        if profile is not None:
+        if args.profile:
             from .bench import save_governor_json
 
             path = save_governor_json(governor_reports)
@@ -351,8 +359,10 @@ def _run_command(args, out, experiment: str, plan: SweepPlan, title: str,
             )
         else:
             print("arbiter: no simulation ran under the cap", file=out)
-    if profile is not None:
-        print(profile.report(), file=out)
+    if args.profile:
+        from .bench.profile import JobSample, SelfProfile
+
+        print(SelfProfile([JobSample(**s) for s in samples]).report(), file=out)
     return 0
 
 

@@ -41,7 +41,11 @@ def tournament_partner(node: int, rnd: int, n_nodes: int) -> Optional[int]:
 
 def supports_power_alltoall(ctx, comm) -> bool:
     """The schedule needs the bunch socket layout and power-of-two group
-    shapes (paper §V-C: other mappings require adjusting the algorithm)."""
+    shapes (paper §V-C: other mappings require adjusting the algorithm).
+
+    Like the schedule itself, the check walks the job's node *window*:
+    node ``w`` of the window is cluster node ``node_offset + w`` and
+    hosts ranks ``w·c .. w·c + c - 1``."""
     aff = ctx.affinity
     if comm is not ctx.world:
         return False
@@ -53,25 +57,26 @@ def supports_power_alltoall(ctx, comm) -> bool:
         return False
     if not is_power_of_two(aff.n_nodes_used * half):
         return False
-    for node_id in range(aff.n_nodes_used):
-        a = aff.group_a_ranks(node_id)
-        b = aff.group_b_ranks(node_id)
+    for w in range(aff.n_nodes_used):
+        a = aff.group_a_ranks(aff.node_offset + w)
+        b = aff.group_b_ranks(aff.node_offset + w)
         if len(a) != half or len(b) != half:
             return False
-        base = node_id * c
+        base = w * c
         if a != list(range(base, base + half)):
             return False
     return True
 
 
-def _subgroup_exchange(ctx, size_of, comm, seq, group_index, half, n_nodes, tag_base):
+def _subgroup_exchange(ctx, size_of, comm, seq, my_node, group_index, half,
+                       n_nodes, tag_base):
     """Phases 2/3: XOR pairwise exchange within one socket-side subgroup
     (size n_nodes·half), skipping same-node partners (done in phase 1).
 
+    ``my_node`` is this rank's window-relative node index.
     ``size_of(partner)`` gives the bytes this rank sends to ``partner`` —
     a constant for MPI_Alltoall, per-peer counts for MPI_Alltoallv.
     """
-    my_node = ctx.node_id
     idx = my_node * half + group_index
     size = n_nodes * half
     for i in range(half, size):
@@ -84,11 +89,13 @@ def _subgroup_exchange(ctx, size_of, comm, seq, group_index, half, n_nodes, tag_
         )
 
 
-def _group_member(ctx, node_id: int, index: int, same_side: bool, side_a: bool = True):
-    """World rank of the ``index``-th member of a node's socket group."""
+def _group_member(ctx, node: int, index: int, same_side: bool, side_a: bool = True):
+    """World rank of the ``index``-th member of a socket group on the
+    ``node``-th node of the job's window."""
     aff = ctx.affinity
     if same_side:
-        side_a = ctx.affinity.socket_group(ctx.rank) == 0
+        side_a = aff.socket_group(ctx.rank) == 0
+    node_id = aff.node_offset + node
     group = aff.group_a_ranks(node_id) if side_a else aff.group_b_ranks(node_id)
     return group[index]
 
@@ -125,9 +132,12 @@ def power_aware_alltoall(ctx, nbytes: int, comm, seq: int, send_counts=None):
     half = c // 2
     n_nodes = aff.n_nodes_used
     me = ctx.rank
-    my_node = ctx.node_id
+    # Window-relative node index: the schedule (phase-1 base, subgroup
+    # index, tournament) is the same at any node offset.
+    my_node = ctx.node_id - aff.node_offset
     in_a = aff.socket_group(me) == 0
-    my_group = aff.group_a_ranks(my_node) if in_a else aff.group_b_ranks(my_node)
+    my_group = (aff.group_a_ranks(ctx.node_id) if in_a
+                else aff.group_b_ranks(ctx.node_id))
     group_index = my_group.index(me)
     subgroup_size = n_nodes * half
 
@@ -154,7 +164,8 @@ def power_aware_alltoall(ctx, nbytes: int, comm, seq: int, send_counts=None):
         if in_a:
             # -- Phase 2: A↔A across nodes; B is parked at T7 --------------
             yield from _subgroup_exchange(
-                ctx, size_of, comm, seq, group_index, half, n_nodes, tag_base=c
+                ctx, size_of, comm, seq, my_node, group_index, half, n_nodes,
+                tag_base=c,
             )
             ctx.arrive(p2_flag, expected=half)
             # Throttling A down overlaps B's wake-up: cost hidden (§VI-A2).
@@ -169,7 +180,7 @@ def power_aware_alltoall(ctx, nbytes: int, comm, seq: int, send_counts=None):
             # -- Phase 3: B↔B across nodes; A parked -----------------------
             yield from ctx.throttle(T_FULL)  # each process pays Othrottle once
             yield from _subgroup_exchange(
-                ctx, size_of, comm, seq, group_index, half, n_nodes,
+                ctx, size_of, comm, seq, my_node, group_index, half, n_nodes,
                 tag_base=c + subgroup_size,
             )
             ctx.arrive(p3_flag, expected=half)

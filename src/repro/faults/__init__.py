@@ -19,10 +19,10 @@ Quick start::
     ))
     job = MpiJob(64, faults=plan)
 
-or ambiently (how the CLI's ``--faults`` flag works)::
-
-    with use_faults(parse_fault_spec("degrade:factor=0.5;noise", seed=7)):
-        run_any_experiment()
+A plan is plain data (:meth:`FaultPlan.to_dict`), so it also travels as a
+sweep-cell parameter: the CLI's ``--faults`` flag parses one with
+:func:`parse_fault_spec` and :func:`repro.bench.run_plan` overlays it
+onto every cell, whose executor binds it to that cell's session.
 """
 
 from .plan import (
@@ -35,13 +35,11 @@ from .plan import (
     TransitionJitter,
     parse_fault_spec,
 )
-from .scope import FaultScope, ambient_fault_scope, use_faults
 from .state import FaultReport, FaultState
 
 __all__ = [
     "FaultPlan",
     "FaultReport",
-    "FaultScope",
     "FaultSpecError",
     "FaultState",
     "LinkDegrade",
@@ -49,7 +47,5 @@ __all__ = [
     "OsNoise",
     "Straggler",
     "TransitionJitter",
-    "ambient_fault_scope",
     "parse_fault_spec",
-    "use_faults",
 ]

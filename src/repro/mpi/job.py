@@ -36,8 +36,9 @@ from .p2p import MessageEngine, ProgressMode
 RankProgram = Callable[..., Any]
 
 #: Hooks invoked as ``observer(job, result)`` after every completed run —
-#: the bench self-profile registers here to collect wall-clock numbers
-#: without the job layer knowing about benchmarking.
+#: a cell captured for ``--profile`` collects its wall-clock samples here
+#: (:func:`repro.obs.capture.capture_cell`) without the job layer knowing
+#: about benchmarking.
 JOB_OBSERVERS: List[Callable[["MpiJob", "JobResult"], None]] = []
 
 

@@ -18,9 +18,10 @@ under the parallel sweep runner.  ``repro.obs`` consolidates them:
     slices and counter tracks (CLI: ``repro trace-export``).
 :mod:`~repro.obs.capture`
     Per-cell capture for the sweep runner: :func:`execute_cell` seals a
-    serializable :class:`CellMetrics`, the parent replays payloads in
-    submit order, so ``--jobs N`` observability output is byte-identical
-    to ``--jobs 1`` — and survives the result cache.
+    serializable :class:`CellMetrics` into each result, and the caller
+    reads the payloads back in input order, so ``--jobs N``
+    observability output is byte-identical to ``--jobs 1`` — and
+    survives the result cache.
 
 Use::
 
@@ -32,7 +33,7 @@ Use::
     print(registry.snapshot()["counters"]["net.flows_started"])
 """
 
-from .capture import CaptureConfig, CellMetrics, capture_cell, replay_payload
+from .capture import CaptureConfig, CellMetrics, capture_cell
 from .chrome import chrome_trace, export_chrome_trace, read_jsonl_records
 from .metrics import (
     MetricsRegistry,
@@ -53,6 +54,5 @@ __all__ = [
     "chrome_trace",
     "export_chrome_trace",
     "read_jsonl_records",
-    "replay_payload",
     "use_metrics",
 ]

@@ -1,23 +1,24 @@
-"""Per-cell observability capture for the parallel sweep runner.
+"""Per-cell observability capture: the one way telemetry leaves a cell.
 
-Ambient ``--trace`` / ``--profile`` / ``--metrics`` scopes are
-process-global: a ``ProcessPoolExecutor`` worker never sees the parent's
-``use_tracer`` default (spawn) or sees a stale copy pointing at the
-parent's open file (fork) — either way records were silently lost or
-corrupted.  This module makes capture *explicit and serializable*
-instead:
+A sweep cell may run inline, in a pool worker or not at all (served
+from the memo or the result cache), so nothing it observes can go to a
+process-global sink.  Capture is explicit and serializable instead:
 
-1. the parent derives a :class:`CaptureConfig` from its ambient scopes
-   (:meth:`CaptureConfig.from_ambient`),
-2. :func:`repro.runner.cells.execute_cell` runs the cell inside
-   :func:`capture_cell`, which shadows every ambient scope with
-   process-local collectors and seals a plain-data :class:`CellMetrics`,
-3. the parent replays each cell's payload — in submit order — into its
-   own live scopes via :func:`replay_payload`.
+1. the caller names the channels it wants in a :class:`CaptureConfig`
+   (``--trace`` / ``--metrics`` / ``--profile``) and passes it to
+   :func:`repro.runner.run_cells` or :func:`repro.bench.run_plan`; the
+   config joins the cell's cache key;
+2. :func:`repro.runner.cells.execute_cell` runs every cell inside
+   :func:`capture_cell`, which stands process-local collectors in for
+   the ambient tracer, metrics registry and job observers, and seals a
+   plain-data :class:`CellMetrics` into the cell's result;
+3. the caller reads the payloads back from the results —
+   :func:`repro.bench.run_plan` returns those of its unique cells in
+   input order — and writes them to its own sinks.
 
 Because the capture path is identical inline and in a worker, ``--jobs
 N`` reproduces the ``--jobs 1`` record stream exactly, and a payload
-served from the result cache replays the same way a fresh one does.
+served from the result cache reads back the same way a fresh one does.
 """
 
 from __future__ import annotations
@@ -26,10 +27,10 @@ import contextlib
 from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional
 
-from ..sim.trace import RecordingTracer, default_tracer, use_tracer
-from .metrics import MetricsRegistry, ambient_metrics_registry, use_metrics
+from ..sim.trace import RecordingTracer, use_tracer
+from .metrics import MetricsRegistry, use_metrics
 
-__all__ = ["CaptureConfig", "CellMetrics", "capture_cell", "replay_payload"]
+__all__ = ["CaptureConfig", "CellMetrics", "capture_cell"]
 
 
 @dataclass(frozen=True)
@@ -61,17 +62,6 @@ class CaptureConfig:
         return cls(trace=bool(data.get("trace")),
                    metrics=bool(data.get("metrics")),
                    profile=bool(data.get("profile")))
-
-    @classmethod
-    def from_ambient(cls) -> "CaptureConfig":
-        """Derive the capture the calling process's live scopes need."""
-        from ..bench.profile import ACTIVE_PROFILES  # lazy: bench imports runner
-
-        return cls(
-            trace=default_tracer().enabled,
-            metrics=ambient_metrics_registry() is not None,
-            profile=bool(ACTIVE_PROFILES),
-        )
 
 
 @dataclass
@@ -127,17 +117,19 @@ class _CellCapture:
 
 
 @contextlib.contextmanager
-def capture_cell(config: CaptureConfig) -> Iterator[_CellCapture]:
+def capture_cell(config: Optional[CaptureConfig]) -> Iterator[_CellCapture]:
     """Run a cell body under process-local collectors.
 
-    Every ambient scope is shadowed for the duration — the inherited
-    tracer (possibly the parent's open trace file, under fork), the
-    ambient metrics registry, and the job-observer list — so capture is
-    hermetic: the same cell captures the same payload inline, in a
-    worker, or nested under any outer instrumentation.
+    The ambient tracer, metrics registry and job-observer list are
+    replaced for the duration — by a recorder, a fresh registry and one
+    sample-collecting observer for the channels ``config`` turns on, by
+    nothing for the rest — so capture is hermetic: the same cell
+    captures the same payload inline, in a worker, or nested under any
+    outer instrumentation, and the outer sinks see none of it.
     """
     from ..mpi.job import JOB_OBSERVERS  # lazy: keep worker imports cheap
 
+    config = config or CaptureConfig()
     recorder = RecordingTracer() if config.trace else None
     registry = MetricsRegistry() if config.metrics else None
     samples: Optional[List[Dict[str, Any]]] = [] if config.profile else None
@@ -159,29 +151,3 @@ def capture_cell(config: CaptureConfig) -> Iterator[_CellCapture]:
             yield _CellCapture(config, recorder, registry, samples)
     finally:
         JOB_OBSERVERS[:] = saved_observers
-
-
-def replay_payload(payload: Optional[Dict[str, Any]]) -> None:
-    """Feed one sealed :class:`CellMetrics` payload into the calling
-    process's live scopes: records into the ambient tracer, the metrics
-    snapshot into the ambient registry, profile samples into every
-    active :class:`~repro.bench.profile.SelfProfile`."""
-    if not payload:
-        return
-    tracer = default_tracer()
-    if tracer.enabled:
-        for rec in payload.get("records") or []:
-            data = {k: v for k, v in rec.items() if k not in ("t", "type")}
-            tracer.emit(rec["t"], rec["type"], **data)
-    snap = payload.get("metrics")
-    if snap:
-        registry = ambient_metrics_registry()
-        if registry is not None:
-            registry.merge_snapshot(snap)
-    samples = payload.get("profile")
-    if samples:
-        from ..bench.profile import ACTIVE_PROFILES, JobSample
-
-        for profile in list(ACTIVE_PROFILES):
-            for sample in samples:
-                profile.add_sample(JobSample(**sample))

@@ -22,7 +22,7 @@ guards on ``tracer.enabled``.
 
 Everything in a snapshot is derived from *simulated* quantities, never
 the host clock, so snapshots are byte-identical across reruns, across
-``--jobs 1`` vs ``--jobs N``, and across warm-cache replays.
+``--jobs 1`` vs ``--jobs N``, and across warm-cache reruns.
 """
 
 from __future__ import annotations
@@ -245,8 +245,8 @@ class MetricsTracer(Tracer):
 
 # -- ambient default --------------------------------------------------------
 # Mirrors use_tracer: sessions built inside the scope tee their trace bus
-# into the registry, so CLI --metrics reaches every simulation a command
-# runs without any constructor threading.
+# into the registry, so a cell's capture reaches every simulation the
+# cell runs without any constructor threading.
 _DEFAULT: Optional[MetricsRegistry] = None
 
 

@@ -34,7 +34,6 @@ from .cells import (
     execute_cell,
 )
 from .pool import (
-    RUNNER_METRICS,
     SweepStats,
     clear_memo,
     load_sweep_stats,
@@ -47,7 +46,6 @@ from .pool import (
 __all__ = [
     "CACHE_SCHEMA",
     "CellResult",
-    "RUNNER_METRICS",
     "ResultCache",
     "SUBSTRATE_COUNTERS",
     "SweepCell",

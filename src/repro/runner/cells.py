@@ -9,15 +9,16 @@ reconstitutes the full simulation substrate from the cell's params (via
 
 Purity contract
 ---------------
-``execute_cell`` must depend on nothing but the cell: no ambient
-tracer/governor/fault scopes, no module-level mutable state, no clock.
-Seeds (e.g. a fault plan's) live *inside* the cell spec, so a cell run
-in a worker process is bit-identical to the same cell run inline — the
-property the parallel executor and the result cache both rest on.
-``execute_cell`` enforces this itself by shadowing the ambient
-governor/fault scopes for the duration (``use_governor(None)`` /
-``use_faults(None)``), so an inline cell under a CLI scope reconstructs
-exactly what a worker reconstructs: from its params, or nothing.
+``execute_cell`` must depend on nothing but the cell: no module-level
+mutable state, no clock.  Governor configs, fault plans (with their
+seeds) and arbiter configs live *inside* the cell spec — an executor
+builds each instrument for its own session from the params, and there
+is no other way in — so a cell run in a worker process is bit-identical
+to the same cell run inline, the property the parallel executor and the
+result cache both rest on.  What a cell observes leaves only through
+its result: the body runs under :func:`~repro.obs.capture.capture_cell`,
+whose process-local collectors stand in for the caller's tracer, metrics
+registry and job observers.
 
 Substrate cache
 ---------------
@@ -191,10 +192,9 @@ class CellResult:
 _SUBSTRATE_SPECS: Dict[str, tuple] = {}
 
 #: Process-wide substrate-cache accounting.  The pool folds per-batch
-#: deltas of these into :class:`~repro.runner.pool.SweepStats` and the
-#: runner metrics registry (never the ambient ``--metrics`` registry —
-#: hit counts vary across jobs/cache layers and would break replay
-#: determinism).
+#: deltas of these into :class:`~repro.runner.pool.SweepStats` (never a
+#: captured ``--metrics`` snapshot — hit counts vary across jobs/cache
+#: layers and would break its determinism).
 SUBSTRATE_COUNTERS: Dict[str, float] = {
     "hits": 0,
     "misses": 0,
@@ -574,38 +574,20 @@ def execute_cell(cell: SweepCell, capture: Optional[Any] = None) -> CellResult:
     """Run one cell to completion (pure; safe in any process).
 
     ``capture`` is an optional
-    :class:`~repro.obs.capture.CaptureConfig`.  When truthy, the cell
-    runs inside a hermetic :func:`~repro.obs.capture.capture_cell`
-    scope and its observability payload (trace records, metrics
-    snapshot, profile samples) is sealed into ``result.metrics`` as
-    plain data — the parent process replays it in submit order (see
-    :func:`~repro.runner.pool.run_cells`), so ``--jobs N`` observes
-    exactly what ``--jobs 1`` observes.  The scope shadows all ambient
-    instrumentation, so the cell itself stays a pure function of
-    ``(cell, capture)``.
-
-    Ambient governor/fault/arbiter scopes are *always* shadowed
-    (independent of ``capture``): a session built inside a cell would
-    otherwise adopt the calling process's
-    ``use_governor``/``use_faults``/``use_arbiter`` scope when run
-    inline but not in a worker, breaking the inline == worker == cache
-    identity.  Governor configs, fault plans, and arbiter configs reach
-    a cell through its params only.
+    :class:`~repro.obs.capture.CaptureConfig`.  The cell always runs
+    inside :func:`~repro.obs.capture.capture_cell`, so the caller's
+    tracer, metrics registry and job observers never see it; when
+    ``capture`` is truthy, its observability payload (trace records,
+    metrics snapshot, profile samples) is sealed into ``result.metrics``
+    as plain data.  The result is therefore a function of ``(cell,
+    capture)`` alone, wherever it runs.
     """
-    from ..faults.scope import use_faults
-    from ..runtime.arbiter import use_arbiter
-    from ..runtime.governor import use_governor
+    from ..obs.capture import capture_cell
 
     wall0 = time.perf_counter()
-    with use_governor(None), use_faults(None), use_arbiter(None):
-        if capture:
-            from ..obs.capture import capture_cell
-
-            with capture_cell(capture) as cap:
-                result = _EXECUTORS[cell.kind](cell.params)
-            result.metrics = cap.seal()
-        else:
-            result = _EXECUTORS[cell.kind](cell.params)
+    with capture_cell(capture) as cap:
+        result = _EXECUTORS[cell.kind](cell.params)
+    if capture:
+        result.metrics = cap.seal()
     result.wall_time_s = time.perf_counter() - wall0
     return result
-

@@ -26,8 +26,8 @@ signature per worker, not once per cell.
 Determinism argument
 --------------------
 Every cell is a pure function of its spec (fresh ``SimSession`` per
-cell, seeds inside the spec, ambient scopes shadowed in
-``execute_cell``), so *where* a cell runs cannot change its simulated
+cell, instruments and seeds inside the spec, observers captured per cell
+in ``execute_cell``), so *where* a cell runs cannot change its simulated
 output.  Batches are collected in submit order — never ``as_completed``
 — and results concatenate back into submission order, so reassembly
 order cannot change either.  Hence ``--jobs N`` output is byte-identical
@@ -53,12 +53,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..obs.metrics import MetricsRegistry
 from .cache import ResultCache, cache_key
 from .cells import SUBSTRATE_COUNTERS, CellResult, SweepCell, execute_cell
 
 __all__ = [
-    "RUNNER_METRICS",
     "SweepStats",
     "clear_memo",
     "load_sweep_stats",
@@ -69,13 +67,6 @@ __all__ = [
 ]
 
 _LOG = logging.getLogger("repro.runner")
-
-#: Runner-infrastructure telemetry (substrate cache hits/misses, worker
-#: reuse, batch counts).  Deliberately a *dedicated* registry, never the
-#: ambient one: ambient metrics snapshots must stay byte-identical
-#: across ``--jobs`` values and cache states, and pool behaviour is
-#: exactly the thing that varies.
-RUNNER_METRICS = MetricsRegistry()
 
 #: In-process memo: cache key -> result.  Subsumes the old per-module
 #: ``_APP_RUN_CACHE`` in bench.experiments — any two cells with the same
@@ -267,14 +258,10 @@ class SweepStats:
 
 
 def _fold_telemetry(stats: SweepStats, telemetry: Dict[str, Any]) -> None:
-    """Accumulate one worker batch's telemetry into stats + RUNNER_METRICS."""
+    """Accumulate one worker batch's telemetry into ``stats``."""
     stats.substrate_hits += int(telemetry.get("substrate_hits", 0))
     stats.substrate_misses += int(telemetry.get("substrate_misses", 0))
     stats.substrate_rebuild_s += float(telemetry.get("substrate_rebuild_s", 0.0))
-    RUNNER_METRICS.inc("runner.substrate.hits", telemetry.get("substrate_hits", 0))
-    RUNNER_METRICS.inc("runner.substrate.misses", telemetry.get("substrate_misses", 0))
-    RUNNER_METRICS.inc("runner.substrate.rebuild_s",
-                       telemetry.get("substrate_rebuild_s", 0.0))
 
 
 def _execute_pending(
@@ -323,11 +310,8 @@ def _execute_pending(
                 pids.add(telemetry.get("pid"))
                 if telemetry.get("warm"):
                     stats.worker_reuse += 1
-                    RUNNER_METRICS.inc("runner.worker.reuse")
                 _fold_telemetry(stats, telemetry)
             stats.workers_used = len(pids)
-            RUNNER_METRICS.inc("runner.batches", len(batches))
-            RUNNER_METRICS.inc("runner.cells.executed", len(flat))
             by_key = dict(zip(order, flat))
         except Exception:
             # Pool infrastructure failure (fork unavailable, broken
@@ -347,7 +331,6 @@ def _execute_pending(
                 SUBSTRATE_COUNTERS["rebuild_s"] - before["rebuild_s"]
             ),
         })
-        RUNNER_METRICS.inc("runner.cells.executed", len(cells))
     for key, cell in zip(order, cells):
         stats.timings.append((cell.label or key[:12], by_key[key].wall_time_s))
     return [(idx, key, by_key[key]) for idx, key, _cell in pending]
@@ -367,16 +350,14 @@ def run_cells(
     skips cache *reads* but still writes fresh results through.  Pass a
     ``stats`` to receive the accounting.
 
-    ``capture`` controls observability collection (a
-    :class:`~repro.obs.capture.CaptureConfig`); ``None`` derives it from
-    the calling process's ambient scopes (``--trace`` tracer, metrics
-    registry, active self-profiles).  When any channel is on, every cell
-    — worker-run, inline, memoised or cache-served — carries a sealed
-    payload, and this function replays the payloads into the live scopes
-    here in the parent, once per unique cell in input order.  Replay
-    order therefore depends only on the input sequence, never on ``jobs``
-    or on which layer satisfied a cell: ``--jobs N`` and a warm-cache
-    rerun observe byte-identical streams.
+    ``capture`` (a :class:`~repro.obs.capture.CaptureConfig`) names the
+    observability channels to collect; ``None`` collects nothing.  When
+    any channel is on, every result — worker-run, inline, memoised or
+    cache-served — carries its cell's sealed payload in ``metrics``.
+    Payloads depend only on the cells, never on ``jobs`` or on which
+    layer satisfied a cell, so ``--jobs N`` and a warm-cache rerun read
+    back byte-identical streams.  The caller's own tracer, metrics
+    registry and job observers see nothing of the cells.
     """
     import time
 
@@ -387,17 +368,10 @@ def run_cells(
     stats.cells_total += len(cells)
     wall0 = time.perf_counter()
 
-    if capture is None:
-        from ..obs.capture import CaptureConfig
-
-        capture = CaptureConfig.from_ambient()
-
     results: List[Optional[CellResult]] = [None] * len(cells)
     pending: List[Tuple[int, str, SweepCell]] = []
-    keys: List[str] = []
     for idx, cell in enumerate(cells):
         key = cache_key(cell, capture)
-        keys.append(key)
         if not refresh and key in _MEMO:
             results[idx] = _MEMO[key]
             stats.memo_hits += 1
@@ -426,16 +400,6 @@ def run_cells(
             if cache is not None:
                 cache.put(key, cells[idx], result)
 
-    if capture:
-        from ..obs.capture import replay_payload
-
-        seen: set = set()
-        for idx, key in enumerate(keys):
-            if key in seen:
-                continue
-            seen.add(key)
-            replay_payload(results[idx].metrics)
-
     stats.elapsed_s += time.perf_counter() - wall0
     return results  # type: ignore[return-value]
 
@@ -458,15 +422,12 @@ def save_sweep_stats(
 
     ``metrics`` is an optional :class:`~repro.obs.metrics.MetricsRegistry`
     snapshot; when given, ``bench-report --metrics`` can render it later.
-    Runner-infrastructure counters ride along separately (they are never
-    part of the ambient snapshot — see :data:`RUNNER_METRICS`).
     """
     path = _stats_path(results_dir)
     payload = stats.to_dict()
     payload["cache"] = cache.stats() if cache is not None else None
     payload["cache_dir"] = str(cache.root) if cache is not None else None
     payload["metrics"] = metrics
-    payload["runner_metrics"] = RUNNER_METRICS.snapshot()["counters"]
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         with open(path, "w", encoding="utf-8") as fh:

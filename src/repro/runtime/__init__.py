@@ -13,15 +13,20 @@ Layers
     The sensor: EWMA + histogram slack estimates per core and a
     per-(collective, message-size) call-duration history.
 :mod:`~repro.runtime.governor`
-    The policy FSMs (``none`` / ``countdown`` / ``predictive``) and the
-    ambient :func:`use_governor` scope the CLI installs.
+    The policy FSMs (``none`` / ``countdown`` / ``predictive``).
 :mod:`~repro.runtime.telemetry`
     The per-run :class:`GovernorReport` exported through
     :mod:`repro.bench.export`.
 :mod:`~repro.runtime.arbiter`
     The cluster-scale dual: a global power cap arbitrated into per-node
-    budgets (``uniform`` / ``redistribute``) across co-scheduled jobs,
-    with its own :func:`use_arbiter` ambient scope.
+    budgets (``uniform`` / ``redistribute``) across co-scheduled jobs.
+
+A governor or arbiter reaches a simulation one way: as an argument to
+the :class:`~repro.sim.session.SimSession` (or the
+:class:`~repro.mpi.job.MpiJob` that builds one) that owns it.  Sweep
+cells carry the configs as plain data (``GovernorConfig.to_dict()``),
+and each cell's executor builds the instrument for its own session; the
+reports come back as dicts on the cell's result.
 
 Use::
 
@@ -30,26 +35,11 @@ Use::
     gov = Governor(GovernorConfig(policy=GovernorPolicy.COUNTDOWN))
     job = MpiJob(64, governor=gov)
     result = job.run(program)
-    print(gov.finish_run().one_line())
+    print(gov.report().one_line())
 """
 
-from .arbiter import (
-    ArbiterConfig,
-    ArbiterPolicy,
-    ArbiterReport,
-    ArbiterScope,
-    PowerArbiter,
-    ambient_arbiter_scope,
-    use_arbiter,
-)
-from .governor import (
-    Governor,
-    GovernorConfig,
-    GovernorPolicy,
-    GovernorScope,
-    ambient_governor_scope,
-    use_governor,
-)
+from .arbiter import ArbiterConfig, ArbiterPolicy, ArbiterReport, PowerArbiter
+from .governor import Governor, GovernorConfig, GovernorPolicy
 from .slack import EwmaEstimator, Log2Histogram, SlackMonitor
 from .telemetry import GovernorReport, merge_reports
 
@@ -57,19 +47,13 @@ __all__ = [
     "ArbiterConfig",
     "ArbiterPolicy",
     "ArbiterReport",
-    "ArbiterScope",
     "EwmaEstimator",
     "Governor",
     "GovernorConfig",
     "GovernorPolicy",
     "GovernorReport",
-    "GovernorScope",
     "Log2Histogram",
     "PowerArbiter",
     "SlackMonitor",
-    "ambient_arbiter_scope",
-    "ambient_governor_scope",
     "merge_reports",
-    "use_arbiter",
-    "use_governor",
 ]

@@ -38,10 +38,9 @@ the message engine the moment the transfer starts (see
 
 from __future__ import annotations
 
-import contextlib
 import enum
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
 from ..cluster.specs import ThrottleGranularity
 from ..collectives.power_control import T_FULL, T_LOW
@@ -58,9 +57,6 @@ __all__ = [
     "Governor",
     "GovernorConfig",
     "GovernorPolicy",
-    "GovernorScope",
-    "ambient_governor_scope",
-    "use_governor",
 ]
 
 #: Operations the predictive policy may pre-scale (collectives; blocking
@@ -211,13 +207,8 @@ class Governor:
     calls the notification hooks; :meth:`finish_run` seals the report.
     """
 
-    def __init__(
-        self,
-        config: Optional[GovernorConfig] = None,
-        scope: Optional["GovernorScope"] = None,
-    ):
+    def __init__(self, config: Optional[GovernorConfig] = None):
         self.config = config or GovernorConfig()
-        self.scope = scope
         self.monitor = SlackMonitor(
             alpha=self.config.ewma_alpha, warm_calls=self.config.warm_calls
         )
@@ -538,8 +529,7 @@ class Governor:
     # -- reporting ----------------------------------------------------------
     def finish_run(self) -> GovernorReport:
         """Seal the run: force-restore any leftover drops (a program that
-        ends mid-wait) and emit the report (also collected by the ambient
-        scope, if one owns this governor)."""
+        ends mid-wait) and return the report."""
         for st in self._cores.values():
             if st.timer is not None:
                 st.timer.cancel()
@@ -563,10 +553,7 @@ class Governor:
                     penalty += self._dvfs_s(st.core)
                 self.penalty_s += penalty
                 self._finish_restore(st, unthrottle_socket=True)
-        report = self.report()
-        if self.scope is not None:
-            self.scope.collect(report)
-        return report
+        return self.report()
 
     def report(self) -> GovernorReport:
         """Snapshot of the governor's telemetry."""
@@ -591,56 +578,3 @@ class Governor:
             monitor=self.monitor.summary(),
         )
 
-
-class GovernorScope:
-    """Ambient governor configuration (mirrors ``use_tracer``).
-
-    While a scope is active, every :class:`~repro.sim.session.SimSession`
-    built without an explicit governor constructs one from the scope's
-    config, and the per-run reports accumulate on the scope — the CLI
-    uses this to govern whole experiments without threading a parameter
-    through every benchmark function.
-    """
-
-    def __init__(self, config: GovernorConfig):
-        self.config = config
-        self.reports: List[GovernorReport] = []
-
-    def collect(self, report: GovernorReport) -> None:
-        self.reports.append(report)
-
-    def make_governor(self) -> Governor:
-        return Governor(self.config, scope=self)
-
-
-_AMBIENT: List[Optional[GovernorScope]] = []
-
-
-def ambient_governor_scope() -> Optional[GovernorScope]:
-    """The innermost active :func:`use_governor` scope, if any.
-
-    A ``use_governor(None)`` shadow entry hides any outer scope: the
-    hermetic cell executor installs one so a cell sees no ambient
-    governor no matter what the calling process has active."""
-    return _AMBIENT[-1] if _AMBIENT else None
-
-
-@contextlib.contextmanager
-def use_governor(config: Optional[GovernorConfig]):
-    """Install ``config`` as the ambient governor for the ``with`` body.
-
-    ``config=None`` installs a *shadow* instead (mirroring
-    ``use_tracer(None)`` / ``use_metrics(None)``): inside the body,
-    :func:`ambient_governor_scope` returns None even when an outer scope
-    is active.
-
-    Yields the :class:`GovernorScope` (None for a shadow); after the
-    body ran, ``scope.reports`` holds one :class:`GovernorReport` per
-    governed job.
-    """
-    scope = GovernorScope(config) if config is not None else None
-    _AMBIENT.append(scope)
-    try:
-        yield scope
-    finally:
-        _AMBIENT.pop()

@@ -17,7 +17,7 @@ from typing import Dict, List, Optional
 __all__ = ["GovernorReport", "NON_SUMMABLE_FIELDS", "merge_reports"]
 
 #: Fields that do not sum across runs: configuration (first run's values
-#: are kept — one CLI scope uses one config) and the per-run monitor
+#: are kept — one CLI run uses one config) and the per-run monitor
 #: detail (replaced by a merge marker).  Every OTHER field is summed by
 #: :func:`merge_reports` automatically — adding a counter to
 #: :class:`GovernorReport` cannot silently drop it from merged output.
@@ -86,7 +86,7 @@ def merge_reports(reports: List[GovernorReport]) -> Optional[GovernorReport]:
     hand-maintained sum silently dropped any counter added after it was
     written (``prescales``, ``estimated_saving_j`` and ``penalty_s`` all
     drifted that way at one point or another).  The merged report keeps
-    the first run's policy/θ (one CLI scope uses one config) and drops
+    the first run's policy/θ (one CLI run uses one config) and drops
     the per-run monitor detail, which does not merge meaningfully;
     per-run monitors stay available on the individual reports.
     """

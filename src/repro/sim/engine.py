@@ -271,7 +271,8 @@ class _CoalescedSlot:
     Mirrors the :class:`~repro.sim.events.Timer` handle contract —
     ``cancel()`` is idempotent and safe after firing — but cancelling a
     slot never touches the heap unless it was the group's last live
-    member.
+    member.  A fired or cancelled slot drops its group and callback, so
+    the slot ↔ group cycle never outlives the countdown.
     """
 
     __slots__ = ("_callback", "_group", "_cancelled", "_fired")
@@ -294,28 +295,37 @@ class _CoalescedSlot:
         if self._cancelled or self._fired:
             return
         self._cancelled = True
-        group = self._group
+        self._callback = None
+        group, self._group = self._group, None
         if group is not None:
             group.live -= 1
-            if group.live == 0 and group.timer is not None:
-                group.timer.cancel()
+            if group.live == 0:
+                if group.timer is not None:
+                    group.timer.cancel()
+                group.slots = group.timer = None
 
 
 class _TimerGroup:
-    """All slots sharing one (arm timestamp, deadline): one heap Timer."""
+    """All slots sharing one (arm timestamp, deadline): one heap Timer.
+
+    Once the group fires, or its last live slot is cancelled, it drops
+    its slots and its timer (whose callback is the group's bound
+    ``_fire``)."""
 
     __slots__ = ("slots", "live", "timer")
 
     def __init__(self, slots: List[_CoalescedSlot]):
-        self.slots = slots
+        self.slots: Optional[List[_CoalescedSlot]] = slots
         self.live = len(slots)
         self.timer: Optional[Timer] = None
 
     def _fire(self, _timer: Timer) -> None:
-        for slot in self.slots:
+        slots, self.slots, self.timer = self.slots, None, None
+        for slot in slots:
             if not slot._cancelled:
                 slot._fired = True
-                slot._callback(slot)
+                callback, slot._callback, slot._group = slot._callback, None, None
+                callback(slot)
 
 
 class CoalescedTimers:

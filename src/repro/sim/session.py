@@ -88,7 +88,9 @@ class SimSession:
     Parameters mirror the spec dataclasses; every one is optional and
     defaults to the paper's testbed.  ``tracer`` defaults to the ambient
     tracer (see :func:`repro.sim.trace.use_tracer`), which is the null
-    tracer unless a CLI ``--trace`` scope is active.
+    tracer unless a scope is active — a sweep cell's capture installs
+    one.  The instruments (``governor``, ``faults``, ``arbiter``) reach a
+    session only as these arguments.
     """
 
     def __init__(
@@ -105,14 +107,11 @@ class SimSession:
     ):
         from ..cluster.specs import ClusterSpec
         from ..cluster.topology import Cluster
-        from ..faults.scope import ambient_fault_scope
         from ..faults.state import FaultState
         from ..network.ibnet import IBNetwork
         from ..network.params import NetworkSpec
         from ..power.accounting import EnergyAccountant
         from ..power.model import PowerModel
-        from ..runtime.arbiter import ambient_arbiter_scope
-        from ..runtime.governor import ambient_governor_scope
 
         self.cluster_spec = cluster_spec or ClusterSpec.paper_testbed()
         self.network_spec = network_spec or NetworkSpec()
@@ -146,31 +145,17 @@ class SimSession:
         self.accountant: "EnergyAccountant" = EnergyAccountant(
             self.cluster, self.power_model, keep_segments=keep_segments,
         )
-        fault_scope = None
-        if faults is None:
-            fault_scope = ambient_fault_scope()
-            if fault_scope is not None:
-                faults = fault_scope.plan
         #: Live fault-injection state (see :mod:`repro.faults`), or None.
         #: Bound before the governor so policies always see the perturbed
         #: machine, never a half-built one.
         self.faults: Optional["FaultState"] = (
-            FaultState(faults, self, scope=fault_scope)
-            if faults is not None else None
+            FaultState(faults, self) if faults is not None else None
         )
-        if governor is None:
-            scope = ambient_governor_scope()
-            if scope is not None:
-                governor = scope.make_governor()
         #: Optional online power governor (see :mod:`repro.runtime`); the
         #: MPI layer notifies it when present, never pays for it when not.
         self.governor: Optional["Governor"] = governor
         if governor is not None:
             governor.bind(self)
-        if arbiter is None:
-            arb_scope = ambient_arbiter_scope()
-            if arb_scope is not None:
-                arbiter = arb_scope.make_arbiter()
         #: Optional cluster-wide power-budget arbiter (see
         #: :mod:`repro.runtime.arbiter`).  Bound *after* the governor so it
         #: sees the fully instrumented machine; it owns the whole session,

@@ -225,8 +225,8 @@ class TeeTracer(Tracer):
 
 # -- ambient default -------------------------------------------------------
 # Components built without an explicit tracer (e.g. jobs constructed deep
-# inside a cell executor) pick up the ambient default, so the CLI's
-# ``--trace`` flag reaches every simulation a command runs.
+# inside a cell executor) pick up the ambient default, so a cell's
+# capture (repro.obs.capture) reaches every simulation the cell runs.
 _DEFAULT: Tracer = NULL_TRACER
 
 

@@ -1,10 +1,8 @@
-"""SelfProfile scope hygiene: no observer leaks, nesting-safe."""
+"""SelfProfile folds per-job samples into the --profile summary."""
 
 import pytest
 
-from repro.bench.profile import ACTIVE_PROFILES, JobSample, SelfProfile
-from repro.mpi.job import JOB_OBSERVERS, MpiJob
-from repro.sim.session import SimSession
+from repro.bench.profile import JobSample, SelfProfile
 
 
 def _sample(**over):
@@ -12,62 +10,6 @@ def _sample(**over):
                 events_processed=100, rerate_calls=2, flows_rerated=8)
     base.update(over)
     return JobSample(**base)
-
-
-def _run_once():
-    def program(ctx):
-        yield from ctx.barrier()
-
-    MpiJob(8, session=SimSession()).run(program)
-
-
-def test_enter_exit_leaves_no_observer():
-    before = JOB_OBSERVERS[:]
-    with SelfProfile():
-        assert len(JOB_OBSERVERS) == len(before) + 1
-        assert ACTIVE_PROFILES
-    assert JOB_OBSERVERS == before
-    assert not ACTIVE_PROFILES
-
-
-def test_exit_on_exception_still_deregisters():
-    before = JOB_OBSERVERS[:]
-    with pytest.raises(RuntimeError):
-        with SelfProfile():
-            raise RuntimeError("boom")
-    assert JOB_OBSERVERS == before
-    assert not ACTIVE_PROFILES
-
-
-def test_nested_distinct_profiles_each_collect():
-    with SelfProfile() as outer:
-        with SelfProfile() as inner:
-            _run_once()
-        _run_once()
-    # Inner saw one job; outer saw both.  Exiting the inner profile must
-    # remove ITS observer, not the outer's.
-    assert len(inner.samples) == 1
-    assert len(outer.samples) == 2
-    assert not JOB_OBSERVERS or all(
-        o.__self__ not in (inner, outer) for o in JOB_OBSERVERS
-        if hasattr(o, "__self__")
-    )
-
-
-def test_reentrant_same_instance_unwinds_cleanly():
-    # Re-entering one instance builds equal-but-distinct bound methods;
-    # equality-based removal could pop the wrong one and leak the other.
-    prof = SelfProfile()
-    before = len(JOB_OBSERVERS)
-    with prof:
-        with prof:
-            assert len(JOB_OBSERVERS) == before + 2
-            _run_once()
-        assert len(JOB_OBSERVERS) == before + 1
-    assert len(JOB_OBSERVERS) == before
-    assert not ACTIVE_PROFILES
-    # Doubly registered while the job ran: two samples of the same job.
-    assert len(prof.samples) == 2
 
 
 def test_add_sample_feeds_aggregates():

@@ -10,6 +10,7 @@ from repro.collectives import (
     supports_power_alltoall,
 )
 from repro.mpi import MpiJob
+from repro.sim import SimSession
 
 
 def run_mode(op, nbytes, mode, n_ranks=64, **kw):
@@ -39,6 +40,33 @@ def test_power_alltoall_unsupported_on_scatter_affinity():
 def test_power_alltoall_unsupported_on_leader_comm():
     job = MpiJob(64)
     assert not supports_power_alltoall(job.contexts[0], job.layout.leaders)
+
+
+def test_proposed_alltoall_engages_at_node_offset():
+    """A 16-rank PROPOSED job on nodes 2-3 of the default 8-node session
+    runs the power-aware schedule (alltoall and alltoallv) exactly as the
+    same job on nodes 0-1: the schedule works in window-relative nodes."""
+
+    def program(ctx):
+        yield from ctx.alltoall(1 << 16)
+        yield from ctx.alltoallv([(1 << 12) * (1 + (ctx.rank + p) % 3)
+                                  for p in range(ctx.size)])
+
+    def run(offset):
+        job = MpiJob(
+            16, session=SimSession(), node_offset=offset,
+            collectives=CollectiveEngine(
+                CollectiveConfig(power_mode=PowerMode.PROPOSED)),
+        )
+        assert supports_power_alltoall(job.contexts[0], job.layout.world)
+        return job.run(program)
+
+    base, shifted = run(0), run(2)
+    assert base.stats.throttle_transitions > 0  # the schedule engaged
+    assert shifted.duration_s == base.duration_s
+    assert shifted.rank_finish_times == base.rank_finish_times
+    assert shifted.stats.dvfs_transitions == base.stats.dvfs_transitions
+    assert shifted.stats.throttle_transitions == base.stats.throttle_transitions
 
 
 def test_proposed_falls_back_gracefully_on_scatter_affinity():

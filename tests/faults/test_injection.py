@@ -12,7 +12,6 @@ from repro import (
     SimSession,
     Straggler,
     TransitionJitter,
-    use_faults,
 )
 from repro.mpi.job import run_collective_once
 from repro.sim import RecordingTracer
@@ -174,18 +173,6 @@ class TestDeterminismAndIsolation:
         session = SimSession()
         assert session.faults is None
         assert session.net.fabric.link("nic_up:0").fault_factor == 1.0
-
-    def test_ambient_scope_reaches_inner_jobs(self):
-        plan = FaultPlan(seed=5, injectors=(
-            Straggler(multiplier=1.5, fraction=1.0),
-        ))
-        with use_faults(plan) as scope:
-            job = MpiJob(8)
-            assert job.faults is not None
-            job.run(_compute_program(1e-4))
-        assert len(scope.reports) == 1
-        assert scope.reports[0].straggled_calls == 8
-        assert MpiJob(8).faults is None  # scope closed
 
     def test_adopted_session_rejects_job_level_plan(self):
         session = SimSession()

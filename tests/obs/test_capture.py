@@ -1,11 +1,11 @@
-"""Per-cell capture/replay: hermeticity, serializability, fidelity."""
+"""Per-cell capture: hermeticity, serializability, fidelity."""
 
+import contextlib
 import json
 
-from repro.bench.profile import ACTIVE_PROFILES, SelfProfile
 from repro.mpi.job import JOB_OBSERVERS, MpiJob
-from repro.obs.capture import CaptureConfig, CellMetrics, capture_cell, replay_payload
-from repro.obs.metrics import MetricsRegistry, use_metrics
+from repro.obs.capture import CaptureConfig, CellMetrics, capture_cell
+from repro.obs.metrics import MetricsRegistry, ambient_metrics_registry, use_metrics
 from repro.sim.session import SimSession
 from repro.sim.trace import RecordingTracer, default_tracer, use_tracer
 
@@ -15,6 +15,21 @@ def _run_once():
         yield from ctx.alltoall(16 << 10)
 
     MpiJob(8, session=SimSession()).run(program)
+
+
+@contextlib.contextmanager
+def _outer_observer():
+    """An observer registered outside the capture; yields its samples."""
+    seen = []
+
+    def observer(job, result):
+        seen.append(job.n_ranks)
+
+    JOB_OBSERVERS.append(observer)
+    try:
+        yield seen
+    finally:
+        JOB_OBSERVERS.remove(observer)
 
 
 class TestCaptureConfig:
@@ -27,19 +42,6 @@ class TestCaptureConfig:
     def test_round_trip(self):
         cfg = CaptureConfig(trace=True, profile=True)
         assert CaptureConfig.from_dict(cfg.to_dict()) == cfg
-
-    def test_from_ambient_defaults_off(self):
-        assert not CaptureConfig.from_ambient()
-
-    def test_from_ambient_sees_scopes(self):
-        with use_tracer(RecordingTracer()):
-            assert CaptureConfig.from_ambient().trace
-        reg = MetricsRegistry()
-        with use_metrics(reg):
-            assert CaptureConfig.from_ambient().metrics
-        with SelfProfile():
-            assert CaptureConfig.from_ambient().profile
-        assert not CaptureConfig.from_ambient()
 
 
 class TestCaptureCell:
@@ -65,26 +67,39 @@ class TestCaptureCell:
         assert samples[0]["events_processed"] > 0
 
     def test_shadows_ambient_scopes(self):
-        # An outer tracer/profile must see NOTHING from inside the
-        # capture (the payload is replayed instead — otherwise inline
-        # runs double-collect).
+        # An outer tracer/observer must see NOTHING from inside the
+        # capture: a cell's telemetry leaves only through its payload.
         outer_tracer = RecordingTracer()
-        outer_profile = SelfProfile()
-        with use_tracer(outer_tracer), outer_profile:
+        with use_tracer(outer_tracer), _outer_observer() as outer_samples:
             with capture_cell(CaptureConfig(trace=True, profile=True)) as cap:
                 _run_once()
         assert len(outer_tracer.records) == 0
-        assert outer_profile.samples == []
+        assert outer_samples == []
         assert cap.seal()["records"]
+
+    def test_no_capture_shadows_everything(self):
+        outer_tracer = RecordingTracer()
+        outer_registry = MetricsRegistry()
+        with use_tracer(outer_tracer), use_metrics(outer_registry), \
+                _outer_observer() as outer_samples:
+            with capture_cell(None) as cap:
+                _run_once()
+        assert len(outer_tracer.records) == 0
+        assert outer_registry.snapshot()["counters"] == {}
+        assert outer_samples == []
+        assert cap.seal() == {"records": None, "metrics": None, "profile": None}
 
     def test_restores_ambient_state(self):
         tracer = RecordingTracer()
-        with use_tracer(tracer), SelfProfile():
+        registry = MetricsRegistry()
+        with use_tracer(tracer), use_metrics(registry), _outer_observer():
             observers_before = JOB_OBSERVERS[:]
             with capture_cell(CaptureConfig(trace=True)):
                 assert default_tracer() is not tracer
+                assert ambient_metrics_registry() is None
                 assert JOB_OBSERVERS == []
             assert default_tracer() is tracer
+            assert ambient_metrics_registry() is registry
             assert JOB_OBSERVERS == observers_before
 
     def test_cell_metrics_round_trip(self):
@@ -93,61 +108,20 @@ class TestCaptureCell:
                          profile=None)
         assert CellMetrics.from_dict(cm.to_dict()) == cm
 
-
-class TestReplay:
-    def test_replay_none_is_noop(self):
-        replay_payload(None)
-        replay_payload({})
-
-    def test_replay_records_into_ambient_tracer(self):
-        tracer = RecordingTracer()
-        payload = {"records": [
-            {"t": 0.5, "type": "mark", "name": "x", "extra": 1},
-            {"t": 1.0, "type": "flow.start", "flow": "f", "bytes": 2,
-             "links": [], "seq": 0},
-        ]}
-        with use_tracer(tracer):
-            replay_payload(payload)
-        assert len(tracer.records) == 2
-        assert tracer.records[0].t == 0.5
-        assert tracer.records[0].data == {"name": "x", "extra": 1}
-        assert tracer.records[1].type == "flow.start"
-
-    def test_replay_skips_disabled_tracer(self):
-        replay_payload({"records": [{"t": 0.0, "type": "mark", "name": "x"}]})
-
-    def test_replay_metrics_into_ambient_registry(self):
-        reg = MetricsRegistry()
-        payload = {"metrics": {"counters": {"c": 2.0}, "gauges": {"g": 1.0},
-                               "series": {}}}
-        with use_metrics(reg):
-            replay_payload(payload)
-        assert reg.snapshot()["counters"]["c"] == 2.0
-
-    def test_replay_profile_into_active_profiles(self):
-        payload = {"profile": [{
-            "n_ranks": 4, "sim_time_s": 1.0, "wall_time_s": 0.5,
-            "events_processed": 10, "rerate_calls": 1, "flows_rerated": 2,
-        }]}
-        with SelfProfile() as prof:
-            replay_payload(payload)
-        assert len(prof.samples) == 1
-        assert prof.samples[0].n_ranks == 4
-        assert not ACTIVE_PROFILES
-
-    def test_capture_then_replay_equals_direct_observation(self):
-        # The whole point: capture+replay reproduces what a direct run
-        # under the scope would have recorded.
+    def test_capture_equals_direct_observation(self):
+        # The whole point: the captured records are exactly what a
+        # direct run under a tracer records.
         direct = RecordingTracer()
         with use_tracer(direct):
             _run_once()
 
         with capture_cell(CaptureConfig(trace=True)) as cap:
             _run_once()
-        replayed = RecordingTracer()
-        with use_tracer(replayed):
-            replay_payload(cap.seal())
+        captured = cap.seal()["records"]
 
-        assert len(direct.records) == len(replayed.records)
-        assert [(r.t, r.type, r.data) for r in direct.records] == \
-               [(r.t, r.type, r.data) for r in replayed.records]
+        assert len(direct.records) == len(captured)
+        assert [(r.t, r.type, r.data) for r in direct.records] == [
+            (rec["t"], rec["type"],
+             {k: v for k, v in rec.items() if k not in ("t", "type")})
+            for rec in captured
+        ]

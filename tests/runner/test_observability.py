@@ -1,9 +1,10 @@
 """Observability through the runner: --jobs N == --jobs 1, cache round-trip.
 
-The regression this file pins down: ambient --trace/--profile/--metrics
-scopes used to be silently lost under ``--jobs N`` (module globals do
-not propagate into pool workers).  The runner now captures each cell's
-payload where it runs and replays payloads in submit order, so the
+The regression this file pins down: --trace/--profile/--metrics output
+used to be silently lost under ``--jobs N`` (module globals do not
+propagate into pool workers).  The runner now captures each cell's
+payload where it runs and hands payloads back on the results, and
+``run_plan`` returns those of its unique cells in input order, so the
 observed stream is a function of the input cell sequence alone.
 """
 
@@ -11,8 +12,8 @@ import json
 
 import pytest
 
-from repro.bench.profile import SelfProfile
-from repro.obs import CaptureConfig, MetricsRegistry, use_metrics
+from repro.bench import SweepPlan, run_plan
+from repro.obs import CaptureConfig, MetricsRegistry
 from repro.runner import ResultCache, SweepCell, cache_key, clear_memo, execute_cell, run_cells
 from repro.sim.trace import RecordingTracer, use_tracer
 
@@ -31,20 +32,27 @@ def _cells():
                 "mode": "none"},
         label=f"a2a/{nbytes}",
     )
-    # Includes a duplicate cell: its payload must replay exactly once.
+    # Includes a duplicate cell: its payload must come back exactly once.
     return [mk(4096), mk(8192), mk(4096)]
 
 
 def _observe(jobs, cache=None):
-    tracer = RecordingTracer()
+    capture = CaptureConfig(trace=True, metrics=True, profile=True)
+    _, reports = run_plan(SweepPlan(_cells(), lambda results: None),
+                          jobs=jobs, cache=cache, capture=capture)
+    payloads = reports["captured"]
+    records = [
+        (rec["t"], rec["type"], json.dumps(
+            {k: v for k, v in rec.items() if k not in ("t", "type")},
+            sort_keys=True))
+        for payload in payloads for rec in payload["records"]
+    ]
     registry = MetricsRegistry()
-    with use_tracer(tracer), use_metrics(registry), SelfProfile() as prof:
-        run_cells(_cells(), jobs=jobs, cache=cache)
-    records = [(r.t, r.type, json.dumps(r.data, sort_keys=True))
-               for r in tracer.records]
+    for payload in payloads:
+        registry.merge_snapshot(payload["metrics"])
     snapshot = json.dumps(registry.snapshot(), sort_keys=True)
-    samples = [(s.n_ranks, s.sim_time_s, s.events_processed)
-               for s in prof.samples]
+    samples = [(s["n_ranks"], s["sim_time_s"], s["events_processed"])
+               for payload in payloads for s in payload["profile"]]
     return records, snapshot, samples
 
 
@@ -66,7 +74,7 @@ def test_warm_cache_replays_identically(tmp_path):
     assert cache.hits > 0, "second sweep must be served from disk"
     assert records_warm == records_cold
     assert snap_warm == snap_cold
-    # Profile samples replay too; wall_time_s reflects the original
+    # Profile samples come back too; wall_time_s reflects the original
     # execution, but the simulated fields are identical.
     assert samples_warm == samples_cold
 
@@ -104,11 +112,28 @@ def test_runner_without_scopes_captures_nothing():
     assert all(r.metrics is None for r in results)
 
 
+def test_telemetry_leaves_cells_only_through_capture():
+    """An ambient tracer sees nothing of the cells run_cells executes;
+    only an explicit capture brings records back, on the results."""
+    tracer = RecordingTracer()
+    with use_tracer(tracer):
+        results = run_cells(_cells(), jobs=1)
+    assert len(tracer) == 0
+    assert all(r.metrics is None for r in results)
+
+    clear_memo()
+    with use_tracer(tracer):
+        results = run_cells(_cells(), jobs=1,
+                            capture=CaptureConfig(trace=True))
+    assert len(tracer) == 0
+    assert all(r.metrics["records"] for r in results)
+    assert all(r.metrics["metrics"] is None for r in results)
+
+
 def test_simulated_outputs_unchanged_by_capture():
     plain = run_cells(_cells(), jobs=1)
     clear_memo()
-    with use_tracer(RecordingTracer()):
-        observed = run_cells(_cells(), jobs=1)
+    observed = run_cells(_cells(), jobs=1, capture=CaptureConfig(trace=True))
     for p, o in zip(plain, observed):
         assert p.duration_s == o.duration_s
         assert p.energy_j == o.energy_j

@@ -5,8 +5,9 @@ The tentpole claims of the one-execution-path refactor:
 * the per-process substrate cache rebuilds the frozen
   (cluster, network, power) spec triple at most once per unique
   signature, however many cells share it;
-* ``execute_cell`` is hermetic — ambient ``use_governor``/``use_faults``
-  scopes in the calling process never leak into a cell;
+* ``execute_cell`` is hermetic — the calling process's ambient tracer
+  and metrics registry see nothing of a cell, and a cell's result does
+  not depend on them;
 * governed and faulted cells flow through ``run_cells`` with their
   configs reconstructed in-worker, and ``jobs=4``, ``jobs=1`` and a
   warm-cache rerun produce byte-identical results *including* the
@@ -91,18 +92,19 @@ def test_substrate_counters_reach_stats():
 
 # -- hermetic execution -----------------------------------------------
 def test_execute_cell_shadows_ambient_scopes():
-    """A cell without governor/fault params must simulate none, even
-    when the calling process has ambient scopes active."""
-    from repro.faults import parse_fault_spec, use_faults
-    from repro.runtime import GovernorConfig, use_governor
+    """A cell reports nothing to the calling process's ambient tracer or
+    metrics registry, and simulates exactly what it does without them."""
+    from repro.obs.metrics import MetricsRegistry, use_metrics
+    from repro.sim.trace import RecordingTracer, use_tracer
 
     cell = _collective(1 << 10)
     bare = execute_cell(cell)
-    with use_governor(GovernorConfig()), \
-            use_faults(parse_fault_spec("degrade:factor=0.5", seed=1)):
+    tracer, registry = RecordingTracer(), MetricsRegistry()
+    with use_tracer(tracer), use_metrics(registry):
         shadowed = execute_cell(cell)
-    assert shadowed.governor is None
-    assert shadowed.faults is None
+    assert len(tracer) == 0
+    assert registry.snapshot()["counters"] == {}
+    assert shadowed.metrics is None
     assert _dicts([shadowed]) == _dicts([bare])
 
 
@@ -124,30 +126,32 @@ def _governed_faulted_cells():
 
 def test_instrumented_cells_jobs4_and_warm_cache_identical(tmp_path,
                                                            monkeypatch):
-    from repro.obs.metrics import MetricsRegistry, use_metrics
+    from repro.obs import CaptureConfig
+    from repro.obs.metrics import MetricsRegistry
     from repro.runner import pool
 
     monkeypatch.setattr(pool, "_available_cpus", lambda: 4)
     cache = ResultCache(tmp_path)
     cells = _governed_faulted_cells()
+    capture = CaptureConfig(metrics=True)
+
+    def merged_metrics(results):
+        registry = MetricsRegistry()
+        for r in results:
+            registry.merge_snapshot(r.metrics["metrics"])
+        return json.dumps(registry.snapshot(), sort_keys=True)
 
     def sweep(jobs):
         clear_memo()
-        registry = MetricsRegistry()
-        with use_metrics(registry):
-            results = run_cells(cells, jobs=jobs, cache=cache)
-        return (
-            _dicts(results),
-            json.dumps(registry.snapshot(), sort_keys=True),
-        )
+        results = run_cells(cells, jobs=jobs, cache=cache, capture=capture)
+        return _dicts(results), merged_metrics(results)
 
     inline, inline_metrics = sweep(1)
     stats = SweepStats()
     clear_memo()
-    registry = MetricsRegistry()
-    with use_metrics(registry):
-        parallel = run_cells(cells, jobs=4, cache=cache, stats=stats)
-    parallel_metrics = json.dumps(registry.snapshot(), sort_keys=True)
+    parallel = run_cells(cells, jobs=4, cache=cache, stats=stats,
+                         capture=capture)
+    parallel_metrics = merged_metrics(parallel)
     warm, warm_metrics = sweep(1)
 
     # Reports travelled: every instrumented result carries both payloads.

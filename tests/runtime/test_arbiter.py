@@ -1,18 +1,12 @@
 """Cluster power-budget arbiter tests: config round-trip, uniform cap
 enforcement, slack-driven redistribution across co-scheduled jobs,
-exact per-job energy attribution, and the ambient scope."""
+and exact per-job energy attribution."""
 
 import pytest
 
 from repro.cluster.specs import ClusterSpec
 from repro.mpi.job import MpiJob
-from repro.runtime import (
-    ArbiterConfig,
-    ArbiterPolicy,
-    PowerArbiter,
-    ambient_arbiter_scope,
-    use_arbiter,
-)
+from repro.runtime import ArbiterConfig, ArbiterPolicy, PowerArbiter
 from repro.sim.session import SimSession
 
 SPEC = ClusterSpec.with_shape(nodes=4, sockets=2, cores_per_socket=4)
@@ -170,26 +164,3 @@ def test_run_jobs_requires_launched_jobs():
     job = MpiJob(CORES_PER_NODE, session=session)
     with pytest.raises(ValueError):
         session.run_jobs([job])
-
-
-# -- ambient scope -----------------------------------------------------------
-def test_ambient_scope_arbiters_jobs_and_collects_reports():
-    config = ArbiterConfig(power_cap_w=SPEC.nodes * CAP_PER_NODE_W)
-    assert ambient_arbiter_scope() is None
-    with use_arbiter(config) as scope:
-        assert ambient_arbiter_scope() is scope
-        job = _single_job()
-        assert job.session.arbiter is not None
-        job.run(_compute_program)
-    assert ambient_arbiter_scope() is None
-    assert len(scope.reports) == 1
-    assert scope.reports[0].freq_changes == SPEC.nodes
-
-
-def test_use_arbiter_none_shadows_outer_scope():
-    config = ArbiterConfig(power_cap_w=SPEC.nodes * CAP_PER_NODE_W)
-    with use_arbiter(config):
-        with use_arbiter(None):
-            assert ambient_arbiter_scope() is None
-            job = _single_job()
-            assert job.session.arbiter is None

@@ -1,6 +1,6 @@
 """Governor policy tests: determinism guard, countdown drops/restores,
-predictive pre-scaling, traffic restores, horizon interaction and the
-ambient scope."""
+predictive pre-scaling, traffic restores, horizon interaction and report
+merging."""
 
 import pytest
 
@@ -12,9 +12,7 @@ from repro.runtime import (
     Governor,
     GovernorConfig,
     GovernorPolicy,
-    ambient_governor_scope,
     merge_reports,
-    use_governor,
 )
 from repro.sim.session import SimSession
 
@@ -255,27 +253,17 @@ def test_job_rejects_governor_with_adopted_session():
         MpiJob(RANKS, session=session, governor=gov)
 
 
-def test_ambient_scope_governs_every_job_and_collects_reports():
+def test_merge_reports_sums_explicit_governor_runs():
     config = GovernorConfig(policy=GovernorPolicy.COUNTDOWN, theta_s=50e-6)
-    assert ambient_governor_scope() is None
-    with use_governor(config) as scope:
-        assert ambient_governor_scope() is scope
-        _run(None)
-        _run(None)
-    assert ambient_governor_scope() is None
-    assert len(scope.reports) == 2
-    assert all(r.policy == "countdown" for r in scope.reports)
-    merged = merge_reports(scope.reports)
-    assert merged.drops == sum(r.drops for r in scope.reports)
+    reports = []
+    for _ in range(2):
+        gov = Governor(config)
+        _run(gov)
+        reports.append(gov.report())
+    assert all(r.policy == "countdown" for r in reports)
+    merged = merge_reports(reports)
+    assert merged.drops == sum(r.drops for r in reports)
     assert merged.drops > 0
-
-
-def test_explicit_governor_wins_over_ambient_scope():
-    explicit = Governor(GovernorConfig(policy=GovernorPolicy.NONE))
-    with use_governor(GovernorConfig(policy=GovernorPolicy.COUNTDOWN)) as scope:
-        session = SimSession(cluster_spec=SPEC, governor=explicit)
-    assert session.governor is explicit
-    assert scope.reports == []
 
 
 # -- run(until) interaction (ISSUE satellite 2) ------------------------------
@@ -369,6 +357,36 @@ def test_finish_run_charges_throttled_socket_once():
     assert report.penalty_s == pytest.approx(core.spec.throttle_latency_s)
     for rank in range(4):
         assert job.affinity.core_of(rank).tstate == T_FULL
+
+
+def test_finished_governed_cell_leaves_no_timer_cycles():
+    """θ-countdown slots and their timer groups free themselves by
+    reference counting once they fire or die: with gc off during a
+    governed cell, a full collection afterwards finds none of them."""
+    import gc
+
+    from repro.runner import SweepCell, execute_cell
+    from repro.sim.engine import _CoalescedSlot, _TimerGroup
+
+    cell = SweepCell("gc-test", "collective", {
+        "op": "alltoall", "nbytes": 64 << 10, "n_ranks": RANKS,
+        "cluster": SPEC.to_dict(),
+        "governor": GovernorConfig(policy=GovernorPolicy.COUNTDOWN).to_dict(),
+    })
+    gc.collect()
+    gc.disable()
+    try:
+        result = execute_cell(cell)
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        garbage = [type(o) for o in gc.garbage]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert result.governor["drops"] > 0
+    assert _CoalescedSlot not in garbage
+    assert _TimerGroup not in garbage
 
 
 def test_merge_reports_empty_is_none():

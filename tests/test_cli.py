@@ -252,6 +252,65 @@ def test_metrics_identical_across_jobs_and_cache(tmp_path, monkeypatch):
     assert blobs[0] == blobs[1] == blobs[2]
 
 
+#: sha256 of the --trace and --metrics files of the pinned governed sweep.
+PINNED_TRACE_SHA256 = (
+    "3864f4eae332cd24f7ff9596927c95ee82259d424362df47d722d17dc500444b"
+)
+PINNED_METRICS_SHA256 = (
+    "1e8ed0a74d26424e322b9a6150eef9988e2edf0823d51b2e31962f8a8a645063"
+)
+
+
+def test_observability_outputs_pinned_across_jobs_and_cache(tmp_path,
+                                                            monkeypatch):
+    """A governed 7-cell sweep with --trace, --metrics and --profile writes
+    the same trace and metrics bytes, the same governor summary and the
+    same deterministic profile counts inline, through two pool workers
+    (which really ship batches), and from a warm cache."""
+    import hashlib
+    import json
+
+    from repro.runner import clear_memo, pool
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(pool, "_available_cpus", lambda: 2)
+    cache_dir = tmp_path / "cache"
+    runs = (("jobs1", "1", cache_dir / "a"), ("jobs2", "2", cache_dir / "b"),
+            ("warm", "2", cache_dir / "b"))
+    for name, jobs, cache in runs:
+        clear_memo()
+        trace, metrics = tmp_path / f"{name}.jsonl", tmp_path / f"{name}.json"
+        code, text = run_cli(
+            "osu", "alltoall", "--ranks", "16", "--governor", "countdown",
+            "--trace", str(trace), "--metrics", str(metrics), "--profile",
+            "--jobs", jobs, "--cache-dir", str(cache),
+        )
+        assert code == 0, name
+        sweep = json.loads((tmp_path / "results" / "last_sweep.json").read_text())
+        if name == "jobs2":
+            assert sweep["batches"] > 0
+        if name == "warm":
+            assert sweep["cache_hits"] == 7 and sweep["executed"] == 0
+        assert hashlib.sha256(trace.read_bytes()).hexdigest() == \
+            PINNED_TRACE_SHA256, name
+        assert hashlib.sha256(metrics.read_bytes()).hexdigest() == \
+            PINNED_METRICS_SHA256, name
+        lines = text.splitlines()
+        assert f"wrote 33559 trace records to {trace}" in lines
+        assert f"wrote 19 metrics to {metrics}" in lines
+        assert (
+            "governor[countdown]: 512 drops (4 traffic-restored, 128 socket "
+            "throttles), 0 pre-scales, ~0.2 J saved, 1536 us transition "
+            "penalty" in lines
+        ), name
+        for line in ("  jobs run            : 7",
+                     "  rerate calls        : 1,601",
+                     "  flows re-rated      : 7,114"):
+            assert line in lines, (name, line)
+        (events,) = [ln for ln in lines if ln.startswith("  kernel events")]
+        assert events.startswith("  kernel events       : 31,332 ("), name
+
+
 def test_trace_export_chrome(tmp_path, monkeypatch):
     import json
 

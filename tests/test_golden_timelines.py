@@ -1,8 +1,8 @@
 """Golden timelines: exact digests of whole simulated runs.
 
-Each case runs one sweep cell through ``execute_cell`` under a
-:class:`~repro.sim.trace.RecordingTracer` and hashes the cell's
-simulated output (``CellResult`` minus host wall time and the optional
+Each case runs one sweep cell through ``execute_cell`` with its trace
+captured (``CaptureConfig(trace=True)``) and hashes the cell's
+simulated output (``CellResult`` minus host wall time and the
 observability payload) together with the ordered ``flow.*``, ``core.*``
 and ``mark`` trace records.  The digests pin every message's flow
 ``seq`` and times, every power-state change and every governor slack
@@ -24,10 +24,11 @@ import json
 import pytest
 
 from repro.cluster.specs import ClusterSpec
+from repro.obs import CaptureConfig
 from repro.runner import SweepCell, execute_cell
 from repro.runtime import GovernorConfig, GovernorPolicy
 from repro.runtime.arbiter import ArbiterConfig, ArbiterPolicy
-from repro.sim.trace import RecordingTracer, use_tracer
+from repro.sim.trace import TraceRecord
 
 NODES = 4
 RANKS = NODES * 8
@@ -120,14 +121,14 @@ _KEPT = ("flow.", "core.")
 
 
 def run_case(cell):
-    """Execute ``cell`` under a recording tracer; returns (result, kept
+    """Execute ``cell`` with its trace captured; returns (result, kept
     trace records)."""
-    tracer = RecordingTracer()
-    with use_tracer(tracer):
-        result = execute_cell(cell)
+    result = execute_cell(cell, CaptureConfig(trace=True))
     records = [
-        r for r in tracer.records
-        if r.type.startswith(_KEPT) or r.type == "mark"
+        TraceRecord(rec["t"], rec["type"],
+                    {k: v for k, v in rec.items() if k not in ("t", "type")})
+        for rec in result.metrics["records"]
+        if rec["type"].startswith(_KEPT) or rec["type"] == "mark"
     ]
     return result, records
 
