@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence, Tuple, Union
 
+from ..numeric import left_sum
 from .base import AppSpec, CollectiveCall, RankProfile
 
 
@@ -40,7 +41,9 @@ def app_from_trace(
     order (order does not change simulated cost within an iteration, since
     every iteration is a barrier-free sequence of the same operations).
     """
-    compute_total = sum(e.seconds for e in events if isinstance(e, ComputeEvent))
+    compute_total = left_sum(
+        e.seconds for e in events if isinstance(e, ComputeEvent)
+    )
     calls: Tuple[CollectiveCall, ...] = tuple(
         e for e in events if isinstance(e, CollectiveCall)
     )

@@ -63,6 +63,7 @@ from .cluster.specs import ClusterSpec
 from .collectives.registry import PowerMode
 from .microbench import osu
 from .mpi.p2p import ProgressMode
+from .numeric import left_sum
 from .power.model import PowerModel
 
 
@@ -353,7 +354,7 @@ def _run_command(args, out, experiment: str, plan: SweepPlan, title: str,
                 f"{sum(r['ticks'] for r in arbiter_reports)} ticks, "
                 f"{sum(r['rebalances'] for r in arbiter_reports)} rebalances, "
                 f"{sum(r['freq_changes'] for r in arbiter_reports)} node freq "
-                f"changes, {sum(r['donated_j'] for r in arbiter_reports):.3g} J "
+                f"changes, {left_sum(r['donated_j'] for r in arbiter_reports):.3g} J "
                 "donated",
                 file=out,
             )

@@ -10,6 +10,7 @@ from __future__ import annotations
 import weakref
 from typing import Dict, List
 
+from ..numeric import left_sum
 from .cpu import Core, Socket, ThrottleDomain
 from .specs import ClusterSpec
 
@@ -48,7 +49,9 @@ class Node:
         """Average f/fmax over the node's cores; drives the uncore/IO
         bandwidth degradation of the NIC links (see network.fabric)."""
         spec = self.cores[0].spec
-        return sum(c.frequency_ghz for c in self.cores) / (len(self.cores) * spec.fmax)
+        return left_sum(c.frequency_ghz for c in self.cores) / (
+            len(self.cores) * spec.fmax
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Node {self.node_id} sockets={len(self.sockets)}>"

@@ -133,20 +133,25 @@ class CollectiveEngine:
         )
 
     # -- operations ------------------------------------------------------------
+    # Each returns the chosen algorithm's generator (wrapped in per-call
+    # DVFS for the Freq-Scaling scheme) rather than driving it itself, so
+    # a rank's resume passes through no dispatcher frame.
+    @staticmethod
+    def _scheme(ctx, mode: PowerMode, inner):
+        """``inner`` as is for NONE, else between a DVFS down/up pair (DVFS,
+        or PROPOSED on a shape without a dedicated power-aware variant)."""
+        return inner if mode is PowerMode.NONE else with_dvfs(ctx, inner)
+
     def alltoall(self, ctx, nbytes: int, comm):
         seq = ctx.next_seq(comm)
         mode = self._mode(nbytes, ctx, "alltoall")
         if mode is PowerMode.PROPOSED and supports_power_alltoall(ctx, comm):
-            yield from power_aware_alltoall(ctx, nbytes, comm, seq)
-            return
+            return power_aware_alltoall(ctx, nbytes, comm, seq)
         if nbytes < self.config.alltoall_switch_bytes:
             inner = bruck_alltoall(ctx, nbytes, comm, seq)
         else:
             inner = pairwise_alltoall(ctx, nbytes, comm, seq)
-        if mode is PowerMode.NONE:
-            yield from inner
-        else:  # DVFS, or PROPOSED falling back on unsupported shapes
-            yield from with_dvfs(ctx, inner)
+        return self._scheme(ctx, mode, inner)
 
     def alltoallv(self, ctx, send_counts, comm):
         seq = ctx.next_seq(comm)
@@ -156,113 +161,83 @@ class CollectiveEngine:
         if mode is PowerMode.PROPOSED and supports_power_alltoall(ctx, comm):
             # §VII-D / [26]: the Alltoallv variant runs the same four-phase
             # schedule carrying the native per-peer counts.
-            yield from power_aware_alltoall(
+            return power_aware_alltoall(
                 ctx, 0, comm, seq, send_counts=list(send_counts)
             )
-            return
-        inner = pairwise_alltoallv(ctx, send_counts, comm, seq)
-        if mode is PowerMode.NONE:
-            yield from inner
-        else:
-            yield from with_dvfs(ctx, inner)
+        return self._scheme(
+            ctx, mode, pairwise_alltoallv(ctx, send_counts, comm, seq)
+        )
 
     def bcast(self, ctx, nbytes: int, root: int, comm):
         seq = ctx.next_seq(comm)
         mode = self._mode(nbytes, ctx, "bcast")
         if self._topo_eligible(ctx, comm, root):
             if mode is PowerMode.PROPOSED:
-                yield from power_aware_topo_bcast(ctx, nbytes, root, comm, seq)
-                return
+                return power_aware_topo_bcast(ctx, nbytes, root, comm, seq)
             inner = topo_bcast(ctx, nbytes, root, comm, seq)
-            if mode is PowerMode.NONE:
-                yield from inner
-            else:
-                yield from with_dvfs(ctx, inner)
-            return
-        if self._mc_eligible(ctx, comm):
+        elif self._mc_eligible(ctx, comm):
             if mode is PowerMode.PROPOSED:
-                yield from power_aware_mc_bcast(ctx, nbytes, root, comm, seq)
-                return
+                return power_aware_mc_bcast(ctx, nbytes, root, comm, seq)
             inner = mc_bcast(ctx, nbytes, root, comm, seq)
         else:
             inner = binomial_bcast(ctx, nbytes, root, comm, seq)
-        if mode is PowerMode.NONE:
-            yield from inner
-        else:
-            yield from with_dvfs(ctx, inner)
+        return self._scheme(ctx, mode, inner)
 
     def reduce(self, ctx, nbytes: int, root: int, comm):
         seq = ctx.next_seq(comm)
         mode = self._mode(nbytes, ctx, "reduce")
         if self._topo_eligible(ctx, comm, root):
+            # A dedicated throttled variant is future work here too;
+            # per-call DVFS is the safe power scheme for topo-reduce.
             inner = topo_reduce(ctx, nbytes, root, comm, seq)
-            if mode is PowerMode.NONE:
-                yield from inner
-            else:
-                # A dedicated throttled variant is future work here too;
-                # per-call DVFS is the safe power scheme for topo-reduce.
-                yield from with_dvfs(ctx, inner)
-            return
-        if self._mc_eligible(ctx, comm):
+        elif self._mc_eligible(ctx, comm):
             if mode is PowerMode.PROPOSED:
-                yield from power_aware_mc_reduce(ctx, nbytes, root, comm, seq)
-                return
+                return power_aware_mc_reduce(ctx, nbytes, root, comm, seq)
             inner = mc_reduce(ctx, nbytes, root, comm, seq)
         else:
             inner = binomial_reduce(ctx, nbytes, root, comm, seq)
-        if mode is PowerMode.NONE:
-            yield from inner
-        else:
-            yield from with_dvfs(ctx, inner)
+        return self._scheme(ctx, mode, inner)
 
     def allreduce(self, ctx, nbytes: int, comm):
         seq = ctx.next_seq(comm)
-        inner = recursive_doubling_allreduce(ctx, nbytes, comm, seq)
-        if self._mode(nbytes, ctx, "other") is PowerMode.NONE:
-            yield from inner
-        else:
-            yield from with_dvfs(ctx, inner)
+        return self._scheme(
+            ctx, self._mode(nbytes, ctx, "other"),
+            recursive_doubling_allreduce(ctx, nbytes, comm, seq),
+        )
 
     def allgather(self, ctx, nbytes: int, comm):
         seq = ctx.next_seq(comm)
-        inner = ring_allgather(ctx, nbytes, comm, seq)
-        if self._mode(nbytes, ctx, "other") is PowerMode.NONE:
-            yield from inner
-        else:
-            yield from with_dvfs(ctx, inner)
+        return self._scheme(
+            ctx, self._mode(nbytes, ctx, "other"),
+            ring_allgather(ctx, nbytes, comm, seq),
+        )
 
     def scatter(self, ctx, nbytes: int, root: int, comm):
         seq = ctx.next_seq(comm)
-        inner = binomial_scatter(ctx, nbytes, root, comm, seq)
-        if self._mode(nbytes) is PowerMode.NONE:
-            yield from inner
-        else:
-            yield from with_dvfs(ctx, inner)
+        return self._scheme(
+            ctx, self._mode(nbytes),
+            binomial_scatter(ctx, nbytes, root, comm, seq),
+        )
 
     def gather(self, ctx, nbytes: int, root: int, comm):
         seq = ctx.next_seq(comm)
-        inner = binomial_gather(ctx, nbytes, root, comm, seq)
-        if self._mode(nbytes) is PowerMode.NONE:
-            yield from inner
-        else:
-            yield from with_dvfs(ctx, inner)
+        return self._scheme(
+            ctx, self._mode(nbytes),
+            binomial_gather(ctx, nbytes, root, comm, seq),
+        )
 
     def reduce_scatter(self, ctx, nbytes: int, comm):
         seq = ctx.next_seq(comm)
-        inner = reduce_scatter_pairwise(ctx, nbytes, comm, seq)
-        if self._mode(nbytes) is PowerMode.NONE:
-            yield from inner
-        else:
-            yield from with_dvfs(ctx, inner)
+        return self._scheme(
+            ctx, self._mode(nbytes),
+            reduce_scatter_pairwise(ctx, nbytes, comm, seq),
+        )
 
     def scan(self, ctx, nbytes: int, comm):
         seq = ctx.next_seq(comm)
-        inner = linear_scan(ctx, nbytes, comm, seq)
-        if self._mode(nbytes) is PowerMode.NONE:
-            yield from inner
-        else:
-            yield from with_dvfs(ctx, inner)
+        return self._scheme(
+            ctx, self._mode(nbytes), linear_scan(ctx, nbytes, comm, seq)
+        )
 
     def barrier(self, ctx, comm):
-        seq = ctx.next_seq(comm)
-        yield from dissemination_barrier(ctx, comm, seq)
+        return dissemination_barrier(ctx, comm, ctx.next_seq(comm))

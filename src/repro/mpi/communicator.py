@@ -21,17 +21,15 @@ class Communicator:
             raise ValueError("empty communicator")
         self.comm_id = comm_id
         self.group: Tuple[int, ...] = tuple(world_ranks)
+        self.size = len(self.group)
         self.name = name or f"comm{comm_id}"
-        self._rank_of: Dict[int, int] = {w: i for i, w in enumerate(self.group)}
-
-    @property
-    def size(self) -> int:
-        return len(self.group)
+        #: world rank -> local rank; ``in`` tests membership.
+        self.members: Dict[int, int] = {w: i for i, w in enumerate(self.group)}
 
     def rank_of(self, world_rank: int) -> int:
         """Translate a world rank to this communicator's local rank."""
         try:
-            return self._rank_of[world_rank]
+            return self.members[world_rank]
         except KeyError:
             raise ValueError(
                 f"world rank {world_rank} not in {self.name}"
@@ -44,7 +42,7 @@ class Communicator:
         return self.group[local_rank]
 
     def contains(self, world_rank: int) -> bool:
-        return world_rank in self._rank_of
+        return world_rank in self.members
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Communicator {self.name} size={self.size}>"

@@ -18,11 +18,133 @@ from typing import TYPE_CHECKING, Optional
 
 from ..cluster.cpu import Activity
 from ..sim import Event
+from ..sim.events import _PENDING, _PROCESSED, URGENT
 from .communicator import Communicator
 from .p2p import ANY_SOURCE, ANY_TAG, ProgressMode
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .job import MpiJob
+
+
+class Exchange(Event):
+    """One blocking point-to-point call: the continuations that post its
+    requests, and the counted join its rank parks on.
+
+    The CPU overheads ``o_send`` and ``o_recv`` are timers whose
+    callbacks post the send and the receive (a zero overhead posts
+    inline), so the rank parks once, here, instead of resuming after
+    each overhead.  Each timer takes the heap entry the overhead's
+    ``Timeout`` would: the same time, priority and sequence point.
+
+    Once posted, the join counts the requests as they complete (the
+    message engine only ever succeeds them).  A pair triggers it with
+    the URGENT heap entry an ``AllOf`` over the two would push; a single
+    request releases the waiters in place, inside its own dispatch, as
+    if the rank had parked on it directly.  The value is the receive's
+    (the send's for a send).  In blocking progress the posting
+    continuation instead resumes the rank in place, which then spins
+    and sleeps on the join (:meth:`RankContext._block_on`).
+    """
+
+    __slots__ = ("ctx", "comm", "nbytes", "dst", "tag", "src", "recv_tag",
+                 "send", "recv", "_left", "wait_start")
+
+    def __init__(self, ctx: "RankContext", comm: Communicator, nbytes: int,
+                 dst, tag, src, recv_tag):
+        self.env = env = ctx.env
+        self.callbacks = []
+        self._value = None
+        self._ok = True
+        self._state = _PENDING
+        self._defused = False
+        self.ctx = ctx
+        self.comm = comm
+        self.nbytes = nbytes
+        self.dst = dst
+        self.tag = tag
+        self.src = src
+        self.recv_tag = recv_tag
+        self.send = self.recv = None
+        #: Posting time, the start of the wait; None until posted.
+        self.wait_start = None
+        if dst is None:
+            self._arm_recv(None)
+            return
+        o_send = ctx.job.net.spec.o_send
+        if o_send > 0:
+            env.call_after(ctx.core.cpu_time(o_send), self._post_send)
+        else:
+            self._post_send(None)
+
+    # The posting chain.  ``timer`` is the overhead timer that ran the
+    # step, or None while posting inline on the rank's own resume.
+    def _post_send(self, timer) -> None:
+        ctx = self.ctx
+        comm = self.comm
+        self.send = ctx.job.engine.post_send(
+            ctx.rank, comm.world_rank(self.dst), self.nbytes, self.tag, comm
+        )
+        if self.src is None:
+            self._posted(timer)
+        else:
+            self._arm_recv(timer)
+
+    def _arm_recv(self, timer) -> None:
+        ctx = self.ctx
+        o_recv = ctx.job.net.spec.o_recv
+        if o_recv > 0:
+            self.env.call_after(ctx.core.cpu_time(o_recv), self._post_recv)
+        else:
+            self._post_recv(timer)
+
+    def _post_recv(self, timer) -> None:
+        ctx = self.ctx
+        comm = self.comm
+        src = self.src
+        self.recv = ctx.job.engine.post_recv(
+            ctx.rank, src if src == ANY_SOURCE else comm.world_rank(src),
+            self.recv_tag, comm,
+        )
+        self._posted(timer)
+
+    def _posted(self, timer) -> None:
+        """Every request is posted: count them in and start the wait."""
+        send, recv = self.send, self.recv
+        if send is None or recv is None:
+            self._left = 1
+            (recv if send is None else send).callbacks.append(self._part_done)
+        else:
+            # The send may have completed during the o_recv overhead.
+            self._left = 2
+            for request in (send, recv):
+                if request.callbacks is None:
+                    self._left -= 1
+                else:
+                    request.callbacks.append(self._part_done)
+        ctx = self.ctx
+        job = ctx.job
+        if job.governor is not None:
+            job.governor.wait_begin(ctx)
+        self.wait_start = self.env.now
+        if timer is not None and job.progress is not ProgressMode.POLLING:
+            # Resume the parked rank in place, as the overhead's Timeout
+            # did; it goes on to spin on the join.
+            waiters, self.callbacks = self.callbacks, []
+            for waiter in waiters:
+                waiter(timer)
+
+    def _part_done(self, request: Event) -> None:
+        self._left -= 1
+        if self._left:
+            return
+        if self.send is not None and self.recv is not None:
+            self.succeed(self.recv._value, URGENT)
+            return
+        self._value = request._value
+        self._state = _PROCESSED
+        waiters, self.callbacks = self.callbacks, None
+        for waiter in waiters:
+            waiter(self)
 
 
 class RankContext:
@@ -141,14 +263,16 @@ class RankContext:
         return governor.wait_end(self)
 
     def _governed(self, op: str, nbytes: int, inner):
-        """Run ``inner`` (an operation generator) between governor
-        entry/exit notifications; transparent when no governor is
-        installed.  The governor tracks call nesting itself, so the
+        """``inner`` (an operation generator) itself when no governor is
+        installed, else wrapped between the governor's entry/exit
+        notifications.  The governor tracks call nesting itself, so the
         p2p issued *inside* a wrapped collective stays subordinate."""
         governor = self.job.governor
         if governor is None:
-            value = yield from inner
-            return value
+            return inner
+        return self._governed_call(governor, op, nbytes, inner)
+
+    def _governed_call(self, governor, op: str, nbytes: int, inner):
         delay = governor.call_begin(self, op, nbytes)
         if delay is not None:
             yield self.env.timeout(delay)
@@ -164,11 +288,11 @@ class RankContext:
         """Blocking point-to-point call as one generator.
 
         Sends ``nbytes`` to ``dst`` unless ``dst`` is None, receives from
-        ``src`` unless ``src`` is None, and waits for both requests; the
+        ``src`` unless ``src`` is None, and waits for both requests: the
         sequence of :meth:`_governed` around :meth:`isend`,
-        :meth:`irecv` and :meth:`_wait`, inlined so a call costs one
-        generator instead of ten.  Returns the receive's value, else the
-        send's.
+        :meth:`irecv` and :meth:`_wait`, with the posting run by an
+        :class:`Exchange` so the rank resumes once per call.  Returns the
+        receive's value, else the send's.
         """
         env = self.env
         job = self.job
@@ -178,31 +302,14 @@ class RankContext:
             if delay is not None:
                 yield env.timeout(delay)
                 governor.call_prescaled(self)
-        spec = job.net.spec
-        engine = job.engine
-        if dst is not None:
-            if spec.o_send > 0:
-                yield env.timeout(self.core.cpu_time(spec.o_send))
-            request = engine.post_send(
-                self.rank, comm.world_rank(dst), nbytes, tag, comm
-            )
-        if src is not None:
-            if spec.o_recv > 0:
-                yield env.timeout(self.core.cpu_time(spec.o_recv))
-            rreq = engine.post_recv(
-                self.rank, src if src == ANY_SOURCE else comm.world_rank(src),
-                recv_tag, comm,
-            )
-            request = rreq if dst is None else env.all_of([request, rreq])
-        # The wait, as in _wait.
-        if governor is not None:
-            governor.wait_begin(self)
-        wait_start = env.now
+        join = Exchange(self, comm, nbytes, dst, tag, src, recv_tag)
         if job.progress is ProgressMode.POLLING:
-            value = yield request
+            value = yield join
         else:
-            value = yield from self._block_on(request)
-        penalty = self._wait_end(wait_start)
+            if join.wait_start is None:
+                yield join  # resumed in place once posted
+            value = yield from self._block_on(join)
+        penalty = self._wait_end(join.wait_start)
         if penalty > 0.0:
             yield env.timeout(penalty)
             governor.wait_restored(self)
@@ -211,7 +318,7 @@ class RankContext:
             if delay is not None:
                 yield env.timeout(delay)
                 governor.call_restored(self)
-        return value if src is None or dst is None else rreq.value
+        return value
 
     # -- point-to-point ---------------------------------------------------------
     def isend(
@@ -362,7 +469,7 @@ class RankContext:
     # -- collectives (dispatched through the registry) ---------------------------------
     def alltoall(self, nbytes: int, comm: Optional[Communicator] = None):
         """MPI_Alltoall with per-peer message size ``nbytes``."""
-        yield from self._governed(
+        return self._governed(
             "alltoall", nbytes,
             self.job.collectives.alltoall(self, nbytes, comm or self.world),
         )
@@ -370,43 +477,43 @@ class RankContext:
     def alltoallv(self, send_counts, comm: Optional[Communicator] = None):
         """MPI_Alltoallv: ``send_counts[d]`` bytes to each peer d."""
         peak = max(send_counts) if send_counts else 0
-        yield from self._governed(
+        return self._governed(
             "alltoallv", peak,
             self.job.collectives.alltoallv(self, send_counts, comm or self.world),
         )
 
     def bcast(self, nbytes: int, root: int = 0, comm: Optional[Communicator] = None):
-        yield from self._governed(
+        return self._governed(
             "bcast", nbytes,
             self.job.collectives.bcast(self, nbytes, root, comm or self.world),
         )
 
     def reduce(self, nbytes: int, root: int = 0, comm: Optional[Communicator] = None):
-        yield from self._governed(
+        return self._governed(
             "reduce", nbytes,
             self.job.collectives.reduce(self, nbytes, root, comm or self.world),
         )
 
     def allreduce(self, nbytes: int, comm: Optional[Communicator] = None):
-        yield from self._governed(
+        return self._governed(
             "allreduce", nbytes,
             self.job.collectives.allreduce(self, nbytes, comm or self.world),
         )
 
     def allgather(self, nbytes: int, comm: Optional[Communicator] = None):
-        yield from self._governed(
+        return self._governed(
             "allgather", nbytes,
             self.job.collectives.allgather(self, nbytes, comm or self.world),
         )
 
     def scatter(self, nbytes: int, root: int = 0, comm: Optional[Communicator] = None):
-        yield from self._governed(
+        return self._governed(
             "scatter", nbytes,
             self.job.collectives.scatter(self, nbytes, root, comm or self.world),
         )
 
     def gather(self, nbytes: int, root: int = 0, comm: Optional[Communicator] = None):
-        yield from self._governed(
+        return self._governed(
             "gather", nbytes,
             self.job.collectives.gather(self, nbytes, root, comm or self.world),
         )
@@ -414,19 +521,19 @@ class RankContext:
     def reduce_scatter(self, nbytes: int, comm: Optional[Communicator] = None):
         """MPI_Reduce_scatter_block: each rank ends with an ``nbytes``
         block of the reduction."""
-        yield from self._governed(
+        return self._governed(
             "reduce_scatter", nbytes,
             self.job.collectives.reduce_scatter(self, nbytes, comm or self.world),
         )
 
     def scan(self, nbytes: int, comm: Optional[Communicator] = None):
         """MPI_Scan (inclusive prefix reduction)."""
-        yield from self._governed(
+        return self._governed(
             "scan", nbytes,
             self.job.collectives.scan(self, nbytes, comm or self.world),
         )
 
     def barrier(self, comm: Optional[Communicator] = None):
-        yield from self._governed(
+        return self._governed(
             "barrier", 0, self.job.collectives.barrier(self, comm or self.world)
         )

@@ -32,6 +32,8 @@ from __future__ import annotations
 import json
 from typing import IO, Any, Dict, Iterable, List, Mapping, Tuple, Union
 
+from ..numeric import left_sum
+
 __all__ = ["chrome_trace", "export_chrome_trace", "read_jsonl_records"]
 
 _PID_RANKS = 1
@@ -136,7 +138,7 @@ def chrome_trace(records: Iterable[Mapping[str, Any]]) -> Dict[str, Any]:
         elif rtype == "core.frequency":
             core_freq[rec["core"]] = rec["new"]
             counter(t, "mean_frequency_ghz",
-                    sum(core_freq.values()) / len(core_freq))
+                    left_sum(core_freq.values()) / len(core_freq))
         elif rtype == "core.tstate":
             if rec["new"]:
                 throttled.add(rec["core"])

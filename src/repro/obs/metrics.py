@@ -30,6 +30,7 @@ from __future__ import annotations
 import contextlib
 from typing import Any, Dict, Iterator, Optional, Set
 
+from ..numeric import left_sum
 from ..sim.trace import Tracer
 
 __all__ = [
@@ -217,7 +218,7 @@ class MetricsTracer(Tracer):
             reg.inc("power.dvfs_transitions")
             self._freq[data["core"]] = data["new"]
             reg.observe("power.mean_frequency_ghz", t,
-                        sum(self._freq.values()) / len(self._freq))
+                        left_sum(self._freq.values()) / len(self._freq))
         elif type == "core.tstate":
             reg.inc("power.tstate_transitions")
             if data["new"]:

@@ -27,6 +27,7 @@ import numpy as np
 
 from ..cluster.cpu import Core
 from ..cluster.topology import Cluster
+from ..numeric import left_sum
 from .model import PowerModel
 from .timeline import PowerSegment, SegmentStore, SegmentView
 
@@ -181,7 +182,7 @@ class EnergyAccountant:
     def cores_energy_j(self) -> float:
         """Energy of all cores (J), excluding node base overhead."""
         self._sync_core_energy()
-        return sum(self._core_energy.values())
+        return left_sum(self._core_energy.values())
 
     def node_base_energy_j(self, now: Optional[float] = None) -> float:
         """Node-overhead energy from the accounting start to ``now``."""
@@ -222,7 +223,7 @@ class EnergyAccountant:
         explicitly so the parts always sum to the total.
         """
         self._sync_core_energy()
-        core_j = sum(self._core_energy[c] for c in core_ids)
+        core_j = left_sum(self._core_energy[c] for c in core_ids)
         end = now if now is not None else self._finalized_at
         if end is None:
             raise ValueError("pass `now` or call finalize() first")

@@ -43,6 +43,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 from ..cluster.cpu import Activity
+from ..numeric import left_sum
 from .slack import SlackMonitor
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -308,7 +309,7 @@ class PowerArbiter:
         self.donors_peak = max(self.donors_peak, len(donors))
         if donors:
             share = self.config.power_cap_w / self.cluster.n_nodes
-            donated_w = sum(max(0.0, share - budgets[d]) for d in donors)
+            donated_w = left_sum(max(0.0, share - budgets[d]) for d in donors)
             self.donated_j += donated_w * self.config.interval_s
         if changed:
             for node in self.cluster.nodes:
@@ -326,7 +327,7 @@ class PowerArbiter:
             tracer.mark(
                 now, "arbiter.tick",
                 cap_w=self.config.power_cap_w,
-                budget_w=sum(budgets),
+                budget_w=left_sum(budgets),
                 donors=len(donors),
             )
         if self._active_ranks > 0 or kick:

@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional
 
+from ..numeric import left_sum
+
 __all__ = ["GovernorReport", "NON_SUMMABLE_FIELDS", "merge_reports"]
 
 #: Fields that do not sum across runs: configuration (first run's values
@@ -96,6 +98,6 @@ def merge_reports(reports: List[GovernorReport]) -> Optional[GovernorReport]:
     for f in fields(GovernorReport):
         if f.name in NON_SUMMABLE_FIELDS:
             continue
-        setattr(merged, f.name, sum(getattr(r, f.name) for r in reports))
+        setattr(merged, f.name, left_sum(getattr(r, f.name) for r in reports))
     merged.monitor = {"runs_merged": len(reports)}
     return merged

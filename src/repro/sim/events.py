@@ -12,6 +12,7 @@ number), so two runs of the same model produce identical timelines.
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import TYPE_CHECKING, Any, Callable, Generator, Iterable, List, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -101,7 +102,9 @@ class Event:
         self._ok = True
         self._value = value
         self._state = _TRIGGERED
-        self.env.schedule(self, priority=priority)
+        env = self.env
+        env._eid = eid = env._eid + 1
+        heappush(env._queue, (env.now, priority, eid, self))
         return self
 
     def fail(self, exception: BaseException, priority: int = NORMAL) -> "Event":
@@ -118,21 +121,14 @@ class Event:
         self._ok = False
         self._value = exception
         self._state = _TRIGGERED
-        self.env.schedule(self, priority=priority)
+        env = self.env
+        env._eid = eid = env._eid + 1
+        heappush(env._queue, (env.now, priority, eid, self))
         return self
 
     def defuse(self) -> None:
         """Mark a failed event as handled so the engine will not re-raise."""
         self._defused = True
-
-    def _run_callbacks(self) -> None:
-        callbacks, self.callbacks = self.callbacks, None
-        self._state = _PROCESSED
-        assert callbacks is not None
-        for callback in callbacks:
-            callback(self)
-        if not self._ok and not self._defused:
-            raise self._value
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = {_PENDING: "pending", _TRIGGERED: "triggered", _PROCESSED: "processed"}
@@ -147,29 +143,33 @@ class Timeout(Event):
     def __init__(self, env: "Environment", delay: float, value: Any = None):
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
-        super().__init__(env)
-        self.delay = delay
-        self._ok = True
+        self.env = env
+        self.callbacks = []
         self._value = value
+        self._ok = True
         self._state = _TRIGGERED
-        env.schedule(self, priority=NORMAL, delay=delay)
+        self._defused = False
+        self.delay = delay
+        env._eid = eid = env._eid + 1
+        heappush(env._queue, (env.now + delay, NORMAL, eid, self))
 
 
 class Timer(Event):
     """A cancellable scheduled callback.
 
-    Unlike :class:`Timeout`, a Timer carries its own callback and can be
-    *cancelled* before it fires: the heap entry stays where it is (lazy
-    deletion — no O(n) queue surgery) but processing a cancelled timer is
-    a no-op.  This replaces generation-counter tricks where consumers had
-    to detect their own stale wakeups by hand.
+    Unlike :class:`Timeout`, a Timer carries its own callback — the first
+    entry of its ``callbacks``, so the engine dispatches it like any other
+    event — and can be *cancelled* before it fires: the heap entry stays
+    where it is (lazy deletion — no O(n) queue surgery) and the engine
+    skips it unprocessed.  This replaces generation-counter tricks where
+    consumers had to detect their own stale wakeups by hand.
 
     Timers are scheduling primitives, not synchronisation points: processes
     should yield :class:`Timeout`/:class:`Event`, not Timers (a cancelled
     Timer never fires its waiters).
     """
 
-    __slots__ = ("at", "_callback", "_cancelled")
+    __slots__ = ("at", "_cancelled")
 
     def __init__(
         self,
@@ -184,14 +184,19 @@ class Timer(Event):
         the *same* float the prediction computed."""
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
-        super().__init__(env)
-        #: Absolute firing time (for introspection and staleness checks).
-        self.at = env.now + delay if at is None else at
-        self._callback: Optional[Callable[["Timer"], None]] = callback
-        self._cancelled = False
+        self.env = env
+        self.callbacks = [callback]
+        self._value = None
         self._ok = True
         self._state = _TRIGGERED
-        env.schedule_at(self, self.at, priority=NORMAL)
+        self._defused = False
+        self._cancelled = False
+        if at is None:
+            at = env.now + delay
+        #: Absolute firing time (for introspection and staleness checks).
+        self.at = at
+        env._eid = eid = env._eid + 1
+        heappush(env._queue, (at, NORMAL, eid, self))
 
     @property
     def cancelled(self) -> bool:
@@ -202,24 +207,14 @@ class Timer(Event):
         return self._state == _PROCESSED and not self._cancelled
 
     def cancel(self) -> None:
-        """Deactivate the timer; safe to call repeatedly, or after firing."""
-        if not self._cancelled:
-            self._cancelled = True
-            if self._state == _TRIGGERED:  # still sitting in the heap
-                self.env._note_timer_cancelled()
-        self._callback = None  # release promptly; heap entry fires as a no-op
-
-    def _run_callbacks(self) -> None:
-        callbacks, self.callbacks = self.callbacks, None
-        self._state = _PROCESSED
-        if self._cancelled:
+        """Deactivate the timer; safe to call repeatedly.  After firing
+        (or from inside its own callback) it is a no-op: a fired timer
+        stays fired."""
+        if self._cancelled or self._state == _PROCESSED:
             return
-        callback, self._callback = self._callback, None
-        if callback is not None:
-            callback(self)
-        if callbacks:
-            for cb in callbacks:
-                cb(self)
+        self._cancelled = True
+        self.callbacks = []  # release the callback; the heap entry is skipped
+        self.env._note_timer_cancelled()
 
 
 class Initialize(Event):
@@ -228,11 +223,14 @@ class Initialize(Event):
     __slots__ = ()
 
     def __init__(self, env: "Environment", process: "Process"):
-        super().__init__(env)
+        self.env = env
         self.callbacks = [process._resume_cb]
+        self._value = None
         self._ok = True
         self._state = _TRIGGERED
-        env.schedule(self, priority=URGENT)
+        self._defused = False
+        env._eid = eid = env._eid + 1
+        heappush(env._queue, (env.now, URGENT, eid, self))
 
 
 class Process(Event):
@@ -305,7 +303,7 @@ class Process(Event):
         self._target = None
         tracer = env.tracer
         if tracer.enabled:
-            tracer.process_resume(env._now, self.name)
+            tracer.process_resume(env.now, self.name)
         try:
             if event._ok:
                 next_target = self._generator.send(event._value)
@@ -338,7 +336,7 @@ class Process(Event):
             self._target = next_target
             if tracer.enabled:
                 tracer.process_suspend(
-                    env._now, self.name, type(next_target).__name__
+                    env.now, self.name, type(next_target).__name__
                 )
         else:
             # Target already processed: resume immediately (still via the
@@ -406,7 +404,12 @@ class Condition(Event):
         events: Iterable[Event],
         needed: Optional[int] = None,
     ):
-        super().__init__(env)
+        self.env = env
+        self.callbacks = []
+        self._value = None
+        self._ok = True
+        self._state = _PENDING
+        self._defused = False
         self._events = list(events)
         self._count = 0
         total = len(self._events)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.mpi import ANY_SOURCE, ANY_TAG, MpiJob, ProgressMode
 from repro.network import NetworkSpec
-from repro.sim import RecordingTracer, SimSession
+from repro.sim import Interrupt, RecordingTracer, SimSession
 
 IDEAL_NET = NetworkSpec(flow_congestion=0.0)
 
@@ -282,6 +282,56 @@ def test_event_budget_per_message():
     two = _ring_exchange(2).env.events_processed
     four = _ring_exchange(4).env.events_processed
     assert four - two == 2 * 7
+
+
+def test_polling_exchange_resumes_its_rank_once():
+    """A polling ``sendrecv`` parks its rank once: the CPU overheads post
+    the requests as continuations, so 16-rank pairwise alltoalls emit
+    one ``process.resume`` per message, plus one start per rank."""
+    tracer = RecordingTracer()
+    job = MpiJob(16, session=SimSession(tracer=tracer))
+
+    def program(ctx):
+        for _ in range(4):
+            yield from ctx.alltoall(64 << 10)
+
+    job.run(program)
+    messages = job.engine.messages_sent
+    resumes = len(tracer.of_type("process.resume"))
+    assert messages == 4 * 16 * 15
+    assert resumes / messages <= 1.05
+
+
+def test_interrupted_exchange_resumes_its_rank_once():
+    """Interrupting a rank parked in a ``sendrecv`` wakes it once, with
+    the Interrupt; the exchange completing later does not wake it again."""
+    tracer = RecordingTracer()
+    job = MpiJob(8, session=SimSession(network_spec=IDEAL_NET, tracer=tracer))
+    procs = {}
+    log = []
+
+    def program(ctx):
+        procs[ctx.rank] = ctx.env.active_process
+        if ctx.rank == 0:
+            try:
+                yield from ctx.sendrecv(dst=1, nbytes=1 << 20, src=1)
+            except Interrupt as intr:
+                log.append(("interrupted", intr.cause, ctx.env.now))
+            yield ctx.env.timeout(1.0)  # outlives the exchange
+            log.append(("rank0 done", ctx.env.now))
+        elif ctx.rank == 1:
+            yield ctx.env.timeout(50e-6)  # both requests posted by now
+            procs[0].interrupt("stop")
+            yield from ctx.sendrecv(dst=0, nbytes=1 << 20, src=0)
+            log.append(("rank1 done", ctx.env.now < 1.0))
+
+    job.run(program)
+    assert log == [("interrupted", "stop", 50e-6), ("rank1 done", True),
+                   ("rank0 done", 1.0 + 50e-6)]
+    rank0 = [r for r in tracer.of_type("process.resume")
+             if r.data["process"] == "rank0"]
+    # Its start, the interrupt and the timeout's end: never the join.
+    assert len(rank0) == 3
 
 
 def test_blocking_mode_slower_but_core_sleeps():

@@ -6,7 +6,7 @@ import pytest
 
 from repro.network import Fabric, NetworkSpec
 from repro.network.fabric import Link, maxmin_rates
-from repro.sim import Environment
+from repro.sim import Environment, Event
 from tests.oracles.scalar_fabric import Flow
 
 
@@ -158,6 +158,21 @@ def test_zero_byte_transfer_completes_immediately():
     env.process(proc(env))
     env.run()
     assert out == [0.0]
+
+
+def test_transfer_returns_an_event_callers_can_hook():
+    """Callers (the message path, flow counters) append a callback to the
+    event ``transfer`` returns, for empty and real transfers alike."""
+    env, fabric = make_fabric()
+    link = fabric.add_link("l", 1e9)
+    seen = []
+    for nbytes in (0, 1e6):
+        event = fabric.transfer([link], nbytes)
+        assert isinstance(event, Event)
+        assert isinstance(event.callbacks, list)
+        event.callbacks.append(lambda ev, n=nbytes: seen.append((n, ev.value)))
+    env.run()
+    assert seen == [(0, 0.0), (1e6, pytest.approx(1e-3))]
 
 
 def test_cpu_cap_limits_single_flow():

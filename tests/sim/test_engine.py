@@ -107,6 +107,63 @@ def test_run_until_event_returns_its_value():
     assert env.now == 2.0
 
 
+def test_run_until_failed_event_raises_its_exception():
+    env = Environment()
+    ev = env.event()
+    env.call_after(1.0, lambda _t: ev.fail(KeyError("lost")))
+    with pytest.raises(KeyError, match="lost"):
+        env.run(until=ev)
+    assert env.now == 1.0
+
+
+def test_run_until_crashed_process_raises():
+    env = Environment()
+
+    def crashes(env):
+        yield env.timeout(2.0)
+        raise ValueError("crashed")
+
+    with pytest.raises(ValueError, match="crashed"):
+        env.run(until=env.process(crashes(env)))
+
+
+def test_run_until_defused_failure_returns_the_exception():
+    env = Environment()
+    ev = env.event()
+    exc = KeyError("handled")
+    ev.fail(exc)
+    ev.defuse()
+    assert env.run(until=ev) is exc
+
+
+def test_run_processes_every_event_through_step():
+    """Tools that time the engine wrap ``Environment.step``: ``run()``
+    must dispatch each event through it, never inline."""
+    calls = []
+
+    class Counted(Environment):
+        def step(self):
+            calls.append(self.now)
+            super().step()
+
+    env = Counted()
+
+    def proc(env):
+        for _ in range(5):
+            yield env.timeout(1.0)
+        yield env.all_of([env.timeout(1.0), env.timeout(2.0)])
+
+    env.call_after(0.5, lambda _t: None)
+    env.call_after(9.0, lambda _t: None).cancel()
+    env.process(proc(env))
+    env.run(until=3.0)
+    env.run(until=env.process(proc(env)))
+    env.run()
+    # One step() per processed event, plus the one that met the empty
+    # schedule at the end.
+    assert len(calls) == env.events_processed + 1
+
+
 def test_process_return_value_propagates():
     env = Environment()
 

@@ -66,6 +66,7 @@ def test_cancel_is_idempotent_and_safe_after_fire():
     assert timer.fired
     timer.cancel()  # after fire: no-op
     timer.cancel()  # repeatable
+    assert timer.fired and not timer.cancelled
     assert fired == [1.0]
 
 

@@ -18,12 +18,15 @@ redistribute arbiter, and an OSU point-to-point cell.
 
 from __future__ import annotations
 
+import builtins
 import hashlib
 import json
+import math
 
 import pytest
 
 from repro.cluster.specs import ClusterSpec
+from repro.numeric import left_sum
 from repro.obs import CaptureConfig
 from repro.runner import SweepCell, execute_cell
 from repro.runtime import GovernorConfig, GovernorPolicy
@@ -156,3 +159,60 @@ def test_predictive_case_prescales_every_rank_every_iteration():
     """The predictive cell is the one where call entry really waits."""
     result, _ = run_case(CASES["predictive_alltoall"])
     assert result.governor["prescales"] == RANKS * 3
+
+
+def compensated_sum(iterable, /, start=0):
+    """CPython 3.12's built-in ``sum()``, which adds exact floats with
+    Neumaier compensation (3.11 and earlier fold them plainly)."""
+    it = iter(iterable)
+    result = start
+    if type(result) is int:
+        for item in it:
+            if type(item) in (int, bool):
+                result += item
+                continue
+            result = result + item
+            break
+        else:
+            return result
+    if type(result) is not float:
+        for item in it:
+            result = result + item
+        return result
+    total, comp = result, 0.0
+    for item in it:
+        if type(item) is float:
+            t = total + item
+            if abs(total) >= abs(item):
+                comp += (total - t) + item
+            else:
+                comp += (item - t) + total
+            total = t
+        elif type(item) in (int, bool):
+            total += float(item)
+        else:
+            if comp and math.isfinite(comp):
+                total += comp
+            result = total + item
+            for rest in it:
+                result = result + rest
+            return result
+    if comp and math.isfinite(comp):
+        total += comp
+    return total
+
+
+def test_compensated_sum_emulation_rounds_differently():
+    """The emulation really moves float sums, so the test below bites."""
+    assert compensated_sum([0.1] * 10) == 1.0
+    assert left_sum([0.1] * 10) == 0.9999999999999999
+    assert compensated_sum([1, 2, 3]) == 6 and compensated_sum([]) == 0
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_timeline_independent_of_float_sum(name, monkeypatch):
+    """Results do not depend on the interpreter's float ``sum()``: with
+    3.12's compensated ``sum()`` patched in, every digest still holds."""
+    monkeypatch.setattr(builtins, "sum", compensated_sum)
+    result, records = run_case(CASES[name])
+    assert timeline_digest(result, records) == GOLDEN[name]
