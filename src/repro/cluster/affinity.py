@@ -68,7 +68,8 @@ class AffinityMap:
         self.cores_per_node = c
         self.node_offset = node_offset
         self.n_nodes_used = n_ranks // c
-        self._rank_to_core: List[Core] = []
+        #: rank -> the core it is bound to.
+        self.rank_cores: List[Core] = []
         self._core_to_rank: Dict[int, int] = {}
         #: Sockets never move, so each rank's is resolved once here.
         self._rank_to_socket: List[Socket] = []
@@ -77,7 +78,7 @@ class AffinityMap:
             local = rank % c
             os_id = self._local_rank_to_os_id(local, node)
             core = node.core_by_os_id(os_id)
-            self._rank_to_core.append(core)
+            self.rank_cores.append(core)
             self._core_to_rank[core.core_id] = rank
             self._rank_to_socket.append(cluster.socket_of_core(core))
 
@@ -97,7 +98,7 @@ class AffinityMap:
 
     # -- lookups -------------------------------------------------------------
     def core_of(self, rank: int) -> Core:
-        return self._rank_to_core[rank]
+        return self.rank_cores[rank]
 
     def socket_of(self, rank: int) -> Socket:
         return self._rank_to_socket[rank]
@@ -106,7 +107,7 @@ class AffinityMap:
         return self._core_to_rank[core.core_id]
 
     def node_of(self, rank: int) -> int:
-        return self._rank_to_core[rank].node_id
+        return self.rank_cores[rank].node_id
 
     def local_rank(self, rank: int) -> int:
         """Rank index within its node (0 .. cores_per_node-1)."""

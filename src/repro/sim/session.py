@@ -216,7 +216,7 @@ class SimSession:
         attributed = 0.0
         for job, result in zip(jobs, results):
             result.energy_j = self.accountant.attribute_energy_j(
-                [core.core_id for core in job.affinity._rank_to_core],
+                [core.core_id for core in job.affinity.rank_cores],
                 job.affinity.n_nodes_used,
             )
             attributed += result.energy_j
