@@ -23,6 +23,7 @@ import numpy as np
 
 from repro.cluster.cpu import Core
 from repro.cluster.topology import Cluster
+from repro.numeric import left_sum
 from repro.power.meter import PowerMeter, PowerTrace
 from repro.power.model import PowerModel
 from repro.power.timeline import PowerSegment
@@ -87,7 +88,7 @@ class ObjectAccountant:
         return self._core_energy[core_id]
 
     def cores_energy_j(self) -> float:
-        return sum(self._core_energy.values())
+        return left_sum(self._core_energy.values())
 
     def node_base_energy_j(self, now: Optional[float] = None) -> float:
         end = now if now is not None else self._finalized_at
