@@ -24,7 +24,11 @@ accountants:
 
 Both replays must produce *byte-identical* per-core energies, totals and
 meter traces (and match the live capture run), and the columnar path must
-be at least :data:`MIN_POWER_SPEEDUP` times faster.  The report lands in
+be at least :data:`MIN_POWER_SPEEDUP` times faster.  Outside the timed
+region each columnar replay samples its meter once more under
+``tracemalloc``: the fold's peak must stay within
+:data:`MAX_METER_PEAK_MIB`, and the report records it next to the bytes
+the segment store holds.  The report lands in
 ``results/BENCH_power.json`` and is gated in CI by
 ``check_kernel_scaling.py --power-json``.
 """
@@ -33,6 +37,7 @@ import gc
 import json
 import os
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -68,6 +73,10 @@ REPLAY_REPEATS = 3
 #: Floor for the columnar-vs-object speedup (also enforced in CI by
 #: check_kernel_scaling.py --power-json).
 MIN_POWER_SPEEDUP = 5.0
+#: Ceiling on the meter fold's tracemalloc peak (also enforced in CI by
+#: check_kernel_scaling.py --power-json); a whole-timeline expansion of
+#: this stream peaks near 96 MiB.
+MAX_METER_PEAK_MIB = 8.0
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "results")
 
@@ -182,6 +191,17 @@ def replay(records, end_time, columnar):
     finally:
         gc.enable()
 
+    meter_peak_mib = None
+    if columnar:
+        # The fold's working memory, measured apart from its timing.
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            meter.sample(acct)
+            meter_peak_mib = (tracemalloc.get_traced_memory()[1] - base) / 2**20
+        finally:
+            tracemalloc.stop()
+
     segments = acct.segments
     n = len(segments)
     edge = [segments[i] for i in (0, 1, n // 2, n - 2, n - 1)] if n >= 2 else []
@@ -195,6 +215,8 @@ def replay(records, end_time, columnar):
         "total_energy_j": acct.total_energy_j(),
         "trace": trace,
         "edge_segments": edge,
+        "meter_peak_mib": meter_peak_mib,
+        "store_bytes": segments.nbytes if columnar else None,
     }
 
 
@@ -226,6 +248,7 @@ def run_power_path():
         runs["object"].append(replay(records, end_time, columnar=False))
     col = min(runs["columnar"], key=lambda r: r["wall_s"])
     obj = min(runs["object"], key=lambda r: r["wall_s"])
+    meter_peak_mib = max(r["meter_peak_mib"] for r in runs["columnar"])
 
     identical = _identical(col, obj, live)
     speedup = obj["wall_s"] / max(col["wall_s"], 1e-9)
@@ -258,6 +281,11 @@ def run_power_path():
         "meter": {
             "interval_s": METER_INTERVAL_S,
             "buckets": len(col["trace"]),
+            "peak_mib": meter_peak_mib,
+        },
+        "store": {
+            "bytes": col["store_bytes"],
+            "bytes_per_segment": col["store_bytes"] / max(col["segments"], 1),
         },
         "replays": {
             "columnar": {
@@ -273,6 +301,7 @@ def run_power_path():
         "power_speedup": speedup,
         "identical": identical,
         "min_speedup": MIN_POWER_SPEEDUP,
+        "max_meter_peak_mib": MAX_METER_PEAK_MIB,
     }
 
     headers = ["path", "wall (s)", "ns/segment", "segments", "identical"]
@@ -296,6 +325,9 @@ def run_power_path():
         f"{live['timer_heap_entries']} heap entries",
         f"columnar power-path speedup: {speedup:.1f}x "
         f"(gate: >={MIN_POWER_SPEEDUP:.0f}x)",
+        f"meter fold peak {meter_peak_mib:.2f} MiB (tracemalloc, gate: "
+        f"<={MAX_METER_PEAK_MIB:.0f} MiB); segment store "
+        f"{col['store_bytes'] / 2**20:.1f} MiB",
     ]
     return headers, rows, notes, report
 
@@ -327,6 +359,8 @@ def test_power_path_speedup(capsys):
     assert report["identical"], report
     # The columnar path carries the power-path vectorization gate.
     assert report["power_speedup"] >= MIN_POWER_SPEEDUP, report
+    # The meter folds block by block: bounded by its budget, not the run.
+    assert report["meter"]["peak_mib"] <= MAX_METER_PEAK_MIB, report
     # Coalescing must actually batch the governor's θ churn.
     capture = report["capture"]
     assert capture["timer_heap_entries"] < capture["timer_slots_armed"] / 2

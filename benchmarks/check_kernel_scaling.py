@@ -24,7 +24,8 @@ Three independent gates:
   fails unless the columnar accountant + vectorized meter replayed the
   governed/faulted mutation stream at least ``--min-power-speedup``
   faster than the object-segment oracle with byte-identical energies
-  and traces.
+  and traces, and the meter's fold peaked at no more than
+  :data:`MAX_METER_PEAK_MIB` of tracemalloc.
 * **Power-budget arbiter** (``--arbiter-json``) — reads the
   ``BENCH_arbiter.json`` report emitted by ``bench_ext_arbiter.py`` and
   fails unless the redistribute policy beat the uniform split on
@@ -36,6 +37,9 @@ import argparse
 import json
 import re
 import sys
+
+#: Ceiling on the power report's meter fold peak (tracemalloc, MiB).
+MAX_METER_PEAK_MIB = 8.0
 
 SPEEDUP_RE = re.compile(r"speedup \(same horizon\):\s*([0-9.]+)x")
 
@@ -70,11 +74,14 @@ def check_power_json(path: str, min_speedup: float) -> bool:
         report = json.load(fh)
     speedup = report["power_speedup"]
     identical = report["identical"]
-    ok = identical and speedup >= min_speedup
+    peak = report["meter"]["peak_mib"]
+    ok = identical and speedup >= min_speedup and peak <= MAX_METER_PEAK_MIB
     verdict = "OK" if ok else "FAIL"
     print(
         f"power path: {speedup:.1f}x vs object oracle "
-        f"(floor {min_speedup:.1f}x), identical={identical} -> {verdict}"
+        f"(floor {min_speedup:.1f}x), meter peak {peak:.2f} MiB "
+        f"(ceiling {MAX_METER_PEAK_MIB:.1f} MiB), identical={identical} "
+        f"-> {verdict}"
     )
     return ok
 

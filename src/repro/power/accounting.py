@@ -12,7 +12,7 @@ Segments append into a structure-of-arrays
 series the paper plots; ``segments`` is a lazy
 :class:`~repro.power.timeline.SegmentView` that still yields
 :class:`PowerSegment` objects.  Per-core energy is folded out of the
-columns on demand, in row order.
+store's blocks on demand, incrementally from a watermark, in row order.
 
 The hypothesis differential suite and the ``benchmarks/bench_power_path.py``
 gate hold this accountant byte-identical to the per-segment object
@@ -74,10 +74,11 @@ class EnergyAccountant:
         # that memo.
         self._model_cache = self.model._cache
         self._core_power = self.model.core_power
-        # With a store, per-core energy is derived from the columns on
-        # demand (see _sync_core_energy); this watermark is the row count
-        # the ``_core_energy`` dict currently reflects.
+        # With a store, per-core energy is folded out of the blocks on
+        # demand (see _sync_core_energy) into one running array; this
+        # watermark is the row count that array already holds.
         self._energy_rows = 0
+        self._energy_sums = np.zeros(len(self._last_list))
         cluster.add_listener(self._on_change)
 
     @property
@@ -151,28 +152,23 @@ class EnergyAccountant:
         return self._finalized_at
 
     def _sync_core_energy(self) -> None:
-        """Fold the segment columns into the per-core energy dict.
+        """Fold the rows past the watermark into the per-core energy.
 
-        Always recomputed from row 0: ``np.bincount`` accumulates
-        ``power·width`` into each core's slot in row (= time) order, the
-        exact addition sequence of an eager per-segment sum — an
-        *incremental* fold from a watermark would regroup the additions
-        ``(a+b)+(c+d)`` vs ``((a+b)+c)+d`` and break byte-identity.
+        ``np.add.at`` adds each new row's ``power·(end−start)`` onto its
+        core's running sum, unbuffered and in row (= time) order — the
+        exact addition sequence of an eager per-segment sum, continued
+        from where the previous query stopped.
         """
         store = self._store
-        if store is None:
+        if store is None or len(store) == self._energy_rows:
             return
-        n = len(store)
-        if n == self._energy_rows:
-            return
-        core_id, start, end, power = store.columns()
-        energy = np.bincount(
-            core_id, weights=power * (end - start),
-            minlength=max(self._core_energy, default=-1) + 1,
-        )
+        sums = self._energy_sums
+        for core_id, start, end, power in store.blocks(self._energy_rows):
+            np.add.at(sums, core_id, power * (end - start))
+        self._energy_rows = len(store)
+        energies = sums.tolist()
         for cid in self._core_energy:
-            self._core_energy[cid] = float(energy[cid])
-        self._energy_rows = n
+            self._core_energy[cid] = energies[cid]
 
     def core_energy_j(self, core_id: int) -> float:
         """Energy consumed by one core so far (J)."""

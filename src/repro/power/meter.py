@@ -6,15 +6,18 @@ that by distributing the energy of every recorded
 :class:`~repro.power.accounting.PowerSegment` into fixed-width buckets and
 dividing by the bucket width, then adding the constant node overhead.
 
-:meth:`PowerMeter.from_segments` is vectorized (DESIGN.md §13): segment
-intervals are clipped against the bucket grid and the overlap-weighted
-energy lands in segment-major, bucket-minor order — the exact
-accumulation order of a per-segment, per-bucket Python loop.  That loop
-is kept as the differential oracle in ``tests/oracles/energy.py``.
+:meth:`PowerMeter.from_segments` is vectorized and folds the timeline one
+store block at a time (DESIGN.md §13): segment intervals are clipped
+against the bucket grid and the overlap-weighted energy lands in
+segment-major, bucket-minor order — the exact accumulation order of a
+per-segment, per-bucket Python loop — so its working memory depends on
+the block size, not on the length of the run.  That loop is kept as the
+differential oracle in ``tests/oracles/energy.py``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
@@ -59,10 +62,16 @@ class PowerMeter:
 
     #: The paper's meter interval (§VII-A: "intervals of 0.5 s").
     DEFAULT_INTERVAL_S = 0.5
+    #: Most (segment, bucket) pairs expanded at once; with the store's
+    #: block size this bounds the fold's working memory.
+    PAIR_BUDGET = 4096
 
     def __init__(self, interval_s: float = DEFAULT_INTERVAL_S):
-        if interval_s <= 0:
-            raise ValueError("interval must be positive")
+        if not (math.isfinite(interval_s) and interval_s > 0):
+            raise ValueError(
+                "PowerMeter.interval_s must be a finite positive number "
+                f"of seconds, got {interval_s!r}"
+            )
         self.interval_s = interval_s
 
     def sample(
@@ -122,7 +131,7 @@ class PowerMeter:
         times[-1] = end
         return n_buckets, widths, times
 
-    # -- vectorized fold ---------------------------------------------------
+    # -- chunked fold ------------------------------------------------------
     def from_segments(
         self,
         segments: "Sequence[PowerSegment] | SegmentStore | SegmentView",
@@ -131,69 +140,77 @@ class PowerMeter:
         base_w: float = 0.0,
     ) -> PowerTrace:
         """Bucket segment energy into meter intervals; add ``base_w``."""
-        if isinstance(segments, (SegmentStore, SegmentView)):
-            _, seg_start, seg_end, seg_power = segments.columns()
-        else:
-            count = len(segments)
-            seg_start = np.fromiter(
-                (seg.start for seg in segments), dtype=np.float64, count=count)
-            seg_end = np.fromiter(
-                (seg.end for seg in segments), dtype=np.float64, count=count)
-            seg_power = np.fromiter(
-                (seg.power_w for seg in segments), dtype=np.float64, count=count)
-        return self._from_columns(seg_start, seg_end, seg_power,
-                                  start, end, base_w)
-
-    def _from_columns(
-        self,
-        seg_start: np.ndarray,
-        seg_end: np.ndarray,
-        seg_power: np.ndarray,
-        start: float,
-        end: float,
-        base_w: float,
-    ) -> PowerTrace:
         n_buckets, widths, times = self._grid(start, end)
         if n_buckets == 0:
             return PowerTrace(np.empty(0), np.empty(0))
-        interval = self.interval_s
+        if not isinstance(segments, (SegmentStore, SegmentView)):
+            store = SegmentStore()
+            for seg in segments:
+                store.append(seg.core_id, seg.start, seg.end, seg.power_w)
+            segments = store
         energy = np.zeros(n_buckets)
-        if len(seg_start):
-            lo = np.maximum(seg_start, start)
-            hi = np.minimum(seg_end, end)
-            valid = hi > lo
-            if valid.any():
-                lo = lo[valid]
-                hi = hi[valid]
-                power = seg_power[valid]
-                first = ((lo - start) / interval).astype(np.int64)
-                np.minimum(first, n_buckets - 1, out=first)
-                last = np.minimum(
-                    np.ceil((hi - start) / interval).astype(np.int64),
-                    n_buckets,
-                )
-                counts = np.maximum(last - first, 0)
-                total = int(counts.sum())
-                if total:
-                    # Expand every segment into its (segment, bucket) pairs,
-                    # segment-major / bucket-minor — the reference loop's
-                    # accumulation order.
-                    reps = np.repeat(np.arange(len(lo)), counts)
-                    offsets = (np.arange(total)
-                               - np.repeat(np.cumsum(counts) - counts, counts))
-                    buckets = first[reps] + offsets
-                    b_lo = start + buckets * interval
-                    b_hi = b_lo + widths[buckets]
-                    overlap = (np.minimum(hi[reps], b_hi)
-                               - np.maximum(lo[reps], b_lo))
-                    positive = overlap > 0
-                    # bincount's C loop adds pair i into its bucket in
-                    # index order — the same unbuffered sequence np.add.at
-                    # performs, at a fraction of the cost.
-                    energy += np.bincount(
-                        buckets[positive],
-                        weights=(power[reps] * overlap)[positive],
-                        minlength=n_buckets,
-                    )
+        for _, seg_start, seg_end, seg_power in segments.blocks():
+            self._fold_block(energy, widths, start, end,
+                             seg_start, seg_end, seg_power)
         power_w = energy / widths + base_w
         return PowerTrace(times_s=times, power_w=power_w)
+
+    def _fold_block(
+        self,
+        energy: np.ndarray,
+        widths: np.ndarray,
+        start: float,
+        end: float,
+        seg_start: np.ndarray,
+        seg_end: np.ndarray,
+        seg_power: np.ndarray,
+    ) -> None:
+        """Add one block's overlap-weighted energy into ``energy``.
+
+        The block's (segment, bucket) pairs are expanded segment-major /
+        bucket-minor — the reference loop's accumulation order — at most
+        :attr:`PAIR_BUDGET` at a time, so a segment spanning more buckets
+        than that splits across windows in bucket order.  ``np.add.at``
+        adds each pair into its bucket unbuffered, in index order, onto
+        the running sums: the exact addition sequence of the reference
+        loop, whatever the block or window size.
+        """
+        interval = self.interval_s
+        n_buckets = len(energy)
+        lo = np.maximum(seg_start, start)
+        hi = np.minimum(seg_end, end)
+        valid = hi > lo
+        if not valid.all():
+            lo = lo[valid]
+            hi = hi[valid]
+            seg_power = seg_power[valid]
+        if not len(lo):
+            return
+        first = ((lo - start) / interval).astype(np.int64)
+        np.minimum(first, n_buckets - 1, out=first)
+        last = np.minimum(
+            np.ceil((hi - start) / interval).astype(np.int64), n_buckets
+        )
+        counts = np.maximum(last - first, 0)
+        # Row r owns pairs pair_start[r] <= p < pair_end[r]; a window of
+        # pairs [p0, p1) covers rows r0..r1-1, its end rows in part.
+        pair_end = np.cumsum(counts)
+        pair_start = pair_end - counts
+        total = int(pair_end[-1])
+        budget = self.PAIR_BUDGET
+        for p0 in range(0, total, budget):
+            p1 = min(p0 + budget, total)
+            r0 = int(np.searchsorted(pair_end, p0, side="right"))
+            r1 = int(np.searchsorted(pair_end, p1 - 1, side="right")) + 1
+            span = counts[r0:r1].copy()
+            span[0] -= p0 - pair_start[r0]
+            span[-1] -= pair_end[r1 - 1] - p1
+            rows = np.repeat(np.arange(r0, r1), span)
+            buckets = first[rows] + (np.arange(p0, p1) - pair_start[rows])
+            b_lo = start + buckets * interval
+            b_hi = b_lo + widths[buckets]
+            overlap = (np.minimum(hi[rows], b_hi)
+                       - np.maximum(lo[rows], b_lo))
+            positive = overlap > 0
+            np.add.at(energy, buckets[positive],
+                      (seg_power[rows] * overlap)[positive])

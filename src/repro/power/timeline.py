@@ -8,12 +8,13 @@ in Python dominates governed/DVFS-heavy cells now that the fabric kernel
 is vectorized (DESIGN.md §12).
 
 :class:`SegmentStore` keeps the timeline as four parallel numpy columns
-(``core_id``/``start``/``end``/``power``) grown by amortized doubling.
-Appends stage in a small Python list (tuple appends are ~4x cheaper than
-four numpy scalar stores) and fold into the columns in batches; the fold
-preserves append order exactly, so every array consumer sees segments in
-the order they closed — that ordering is what makes the vectorized meter
-byte-identical to the loop-meter oracle (DESIGN.md §13).
+(``core_id``/``start``/``end``/``power``) split into fixed-size blocks,
+so a long run never copies or over-allocates its history.  Appends stage
+in a small Python list (tuple appends are ~4x cheaper than four numpy
+scalar stores) and fold into the blocks in batches; the fold preserves
+append order exactly, so every block consumer sees segments in the order
+they closed — that ordering is what makes the vectorized meter and the
+per-core energy fold byte-identical to the oracles (DESIGN.md §13).
 
 :class:`SegmentView` is the lazy compatibility facade: existing callers
 that iterate ``accountant.segments`` still receive ``PowerSegment``
@@ -28,6 +29,9 @@ from typing import Iterator, List, Sequence, Tuple
 import numpy as np
 
 __all__ = ["PowerSegment", "SegmentStore", "SegmentView"]
+
+#: Bytes of one row across the four columns (int64 + 3 x float64).
+_ROW_BYTES = 32
 
 
 @dataclass(frozen=True)
@@ -45,30 +49,27 @@ class PowerSegment:
 
 
 class SegmentStore:
-    """Growable structure-of-arrays segment log.
+    """Append-only structure-of-arrays segment log in fixed-size blocks.
 
-    Columns double in capacity when full (amortized O(1) append) and are
-    exposed trimmed-to-length via :meth:`columns`.  ``len()`` and
-    iteration account for both folded rows and the staging buffer, so the
-    store is always observationally complete.
+    Rows fold into blocks of :attr:`BLOCK_ROWS` rows each; a full block
+    starts a new one and is never copied again, so the columns hold at
+    most one partly filled block of slack.  ``len()``, indexing and
+    iteration account for both folded rows and the staging buffer, so
+    the store is always observationally complete.
     """
 
-    #: Staging-buffer size before folding into the numpy columns.
+    #: Staging-buffer size before folding into the blocks.
     FLUSH_BATCH = 1024
-    #: Initial column capacity (rows).
-    INITIAL_CAPACITY = 1024
+    #: Rows per column block.
+    BLOCK_ROWS = 4096
 
-    __slots__ = ("_n", "_cap", "_core_id", "_start", "_end", "_power",
-                 "_buf", "_buf_append")
+    __slots__ = ("_n", "_size", "_blocks", "_buf", "_buf_append")
 
     def __init__(self) -> None:
-        cap = self.INITIAL_CAPACITY
-        self._cap = cap
         self._n = 0
-        self._core_id = np.empty(cap, dtype=np.int64)
-        self._start = np.empty(cap, dtype=np.float64)
-        self._end = np.empty(cap, dtype=np.float64)
-        self._power = np.empty(cap, dtype=np.float64)
+        self._size = self.BLOCK_ROWS
+        # One ``(core_id, start, end, power)`` tuple of arrays per block.
+        self._blocks: List[Tuple[np.ndarray, ...]] = []
         self._buf: List[Tuple[int, float, float, float]] = []
         # Pre-bound method: the accountant listener calls this per segment.
         self._buf_append = self._buf.append
@@ -93,53 +94,60 @@ class SegmentStore:
         return self._buf, self._fold, self.FLUSH_BATCH
 
     def _fold(self) -> None:
-        """Fold the staging buffer into the columns, preserving order."""
+        """Fold the staging buffer into the blocks, preserving order."""
         buf = self._buf
         if not buf:
             return
-        k = len(buf)
-        n = self._n
-        need = n + k
-        if need > self._cap:
-            self._grow(need)
-        cid, start, end, power = zip(*buf)
-        self._core_id[n:need] = cid
-        self._start[n:need] = start
-        self._end[n:need] = end
-        self._power[n:need] = power
-        self._n = need
+        columns = tuple(zip(*buf))
         buf.clear()
-
-    def _grow(self, need: int) -> None:
-        cap = self._cap
-        while cap < need:
-            cap *= 2
+        size = self._size
         n = self._n
-        for name in ("_core_id", "_start", "_end", "_power"):
-            old = getattr(self, name)
-            fresh = np.empty(cap, dtype=old.dtype)
-            fresh[:n] = old[:n]
-            setattr(self, name, fresh)
-        self._cap = cap
+        done, k = 0, len(columns[0])
+        while done < k:
+            offset = n % size
+            if offset == 0:
+                self._blocks.append((
+                    np.empty(size, dtype=np.int64),
+                    np.empty(size, dtype=np.float64),
+                    np.empty(size, dtype=np.float64),
+                    np.empty(size, dtype=np.float64),
+                ))
+            take = min(size - offset, k - done)
+            for dest, column in zip(self._blocks[-1], columns):
+                dest[offset:offset + take] = column[done:done + take]
+            n += take
+            done += take
+        self._n = n
 
     # -- reading -----------------------------------------------------------
     def __len__(self) -> int:
         return self._n + len(self._buf)
 
     @property
-    def capacity(self) -> int:
-        return self._cap
+    def nbytes(self) -> int:
+        """Bytes held by the column blocks (the staging buffer excluded):
+        every block is full-sized, 32 bytes a row."""
+        return len(self._blocks) * self._size * _ROW_BYTES
 
-    def columns(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """``(core_id, start, end, power)`` trimmed array views.
+    def blocks(self, first: int = 0) -> List[Tuple[np.ndarray, ...]]:
+        """``(core_id, start, end, power)`` views of rows ``first`` onward,
+        one tuple per block, in row order.
 
         Folds any staged rows first.  The views alias the backing storage;
-        treat them as read-only (they are invalidated by the next growth).
+        treat them as read-only.
         """
         self._fold()
+        size = self._size
         n = self._n
-        return (self._core_id[:n], self._start[:n],
-                self._end[:n], self._power[:n])
+        views = []
+        index, offset = divmod(first, size)
+        while index * size + offset < n:
+            stop = min(size, n - index * size)
+            views.append(tuple(column[offset:stop]
+                               for column in self._blocks[index]))
+            index += 1
+            offset = 0
+        return views
 
     def __getitem__(self, index: int) -> PowerSegment:
         n = len(self)
@@ -150,18 +158,17 @@ class SegmentStore:
         if index >= self._n:  # still in the staging buffer
             cid, start, end, power = self._buf[index - self._n]
             return PowerSegment(cid, start, end, power)
+        block, row = divmod(index, self._size)
+        cid, start, end, power = self._blocks[block]
         return PowerSegment(
-            int(self._core_id[index]),
-            float(self._start[index]),
-            float(self._end[index]),
-            float(self._power[index]),
+            int(cid[row]), float(start[row]), float(end[row]), float(power[row])
         )
 
     def __iter__(self) -> Iterator[PowerSegment]:
-        cid, start, end, power = self.columns()
-        for row in zip(cid.tolist(), start.tolist(),
-                       end.tolist(), power.tolist()):
-            yield PowerSegment(*row)
+        for cid, start, end, power in self.blocks():
+            for row in zip(cid.tolist(), start.tolist(),
+                           end.tolist(), power.tolist()):
+                yield PowerSegment(*row)
 
 
 class SegmentView(Sequence):
@@ -170,7 +177,7 @@ class SegmentView(Sequence):
     Behaves like the list of :class:`PowerSegment` objects the object-based
     accountant would have built — iteration, indexing, ``len`` and equality
     against real lists all work — without materializing anything until
-    asked.  Vector consumers (the meter) bypass it via :meth:`columns`.
+    asked.  Vector consumers (the meter) bypass it via :meth:`blocks`.
     """
 
     __slots__ = ("_store",)
@@ -178,8 +185,12 @@ class SegmentView(Sequence):
     def __init__(self, store: SegmentStore) -> None:
         self._store = store
 
-    def columns(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        return self._store.columns()
+    def blocks(self, first: int = 0) -> List[Tuple[np.ndarray, ...]]:
+        return self._store.blocks(first)
+
+    @property
+    def nbytes(self) -> int:
+        return self._store.nbytes
 
     def __len__(self) -> int:
         return len(self._store)

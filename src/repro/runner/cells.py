@@ -329,7 +329,26 @@ def _harvest_reports(cell: CellResult, session) -> None:
         cell.arbiter = session.arbiter.report().to_dict()
 
 
-def _seal(job, result, session, params: Mapping) -> CellResult:
+def _cell_meter(params: Mapping, keep_segments: bool):
+    """The cell's power meter, or None; a bad request fails here, before
+    anything is simulated, not after the run when the trace is sampled."""
+    interval = params.get("power_trace_interval_s")
+    if interval is None:
+        return None
+    if not keep_segments:
+        raise ValueError(
+            "cell parameter power_trace_interval_s needs keep_segments=True: "
+            "without a kept power timeline there is nothing to sample"
+        )
+    from ..power.meter import PowerMeter
+
+    try:
+        return PowerMeter(interval)
+    except ValueError as exc:
+        raise ValueError(f"cell parameter power_trace_interval_s: {exc}") from None
+
+
+def _seal(job, result, session, params: Mapping, meter) -> CellResult:
     """Common harvest: simulated scalars + per-run reports + extras."""
     cell = CellResult(
         duration_s=result.duration_s,
@@ -340,11 +359,8 @@ def _seal(job, result, session, params: Mapping) -> CellResult:
         throttle_transitions=result.stats.throttle_transitions,
     )
     _harvest_reports(cell, session)
-    interval = params.get("power_trace_interval_s")
-    if interval is not None:
-        from ..power.meter import PowerMeter
-
-        trace = PowerMeter(interval).sample(result.accountant)
+    if meter is not None:
+        trace = meter.sample(result.accountant)
         cell.extra["power_trace"] = {
             "times_s": list(trace.times_s),
             "power_kw": list(trace.power_kw),
@@ -363,6 +379,7 @@ def _run_job(params: Mapping, program, keep_segments: bool) -> CellResult:
     from ..mpi.job import MpiJob
     from ..mpi.p2p import ProgressMode
 
+    meter = _cell_meter(params, keep_segments)
     session = _session_from_params(params, keep_segments)
     job = MpiJob(
         int(params["n_ranks"]),
@@ -371,7 +388,7 @@ def _run_job(params: Mapping, program, keep_segments: bool) -> CellResult:
         progress=ProgressMode(params.get("progress", "polling")),
     )
     result = job.run(program)
-    return _seal(job, result, session, params)
+    return _seal(job, result, session, params, meter)
 
 
 def _execute_collective(params: Mapping) -> CellResult:

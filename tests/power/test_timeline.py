@@ -3,6 +3,8 @@ differential against the object accountant and loop meter in
 ``tests/oracles/energy.py`` (DESIGN.md §13), and meter regressions."""
 
 import math
+import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,23 +40,59 @@ def test_store_append_len_and_getitem():
         store[2]
 
 
-def test_store_folds_and_grows_past_initial_capacity():
+def test_store_folds_rows_across_blocks():
     store = SegmentStore()
-    n = SegmentStore.INITIAL_CAPACITY * 2 + SegmentStore.FLUSH_BATCH // 2 + 7
+    n = SegmentStore.BLOCK_ROWS * 2 + SegmentStore.FLUSH_BATCH // 2 + 7
     for i in range(n):
         store.append(i % 8, float(i), float(i + 1), float(i % 5 + 1))
     assert len(store) == n
-    assert store.capacity >= n - SegmentStore.FLUSH_BATCH  # staged tail
-    core_id, start, end, power = store.columns()
+    blocks = store.blocks()
+    assert len(blocks) == 3
+    assert [len(block[0]) for block in blocks] == [
+        SegmentStore.BLOCK_ROWS, SegmentStore.BLOCK_ROWS,
+        n - 2 * SegmentStore.BLOCK_ROWS,
+    ]
+    core_id, start, end, power = (np.concatenate(c) for c in zip(*blocks))
     assert core_id.dtype == np.int64
     assert start.dtype == end.dtype == power.dtype == np.float64
     assert len(core_id) == n
     assert core_id[12345 % n] == (12345 % n) % 8
     assert start[n - 1] == float(n - 1)
-    # columns() folded the staging buffer; reads stay consistent.
+    assert np.array_equal(start, np.arange(n, dtype=np.float64))
+    # blocks() folded the staging buffer; reads stay consistent.
     assert store[n - 1] == PowerSegment(
         (n - 1) % 8, float(n - 1), float(n), float((n - 1) % 5 + 1)
     )
+    assert store[SegmentStore.BLOCK_ROWS] == PowerSegment(
+        SegmentStore.BLOCK_ROWS % 8, float(SegmentStore.BLOCK_ROWS),
+        float(SegmentStore.BLOCK_ROWS + 1),
+        float(SegmentStore.BLOCK_ROWS % 5 + 1),
+    )
+    # blocks(first) starts mid-block and keeps row order.
+    tail = store.blocks(SegmentStore.BLOCK_ROWS - 3)
+    assert [len(block[0]) for block in tail] == [
+        3, SegmentStore.BLOCK_ROWS, n - 2 * SegmentStore.BLOCK_ROWS,
+    ]
+    assert tail[0][1][0] == float(SegmentStore.BLOCK_ROWS - 3)
+    assert store.blocks(n) == []
+
+
+@pytest.mark.parametrize("n", [
+    0, 1, SegmentStore.FLUSH_BATCH - 1, SegmentStore.FLUSH_BATCH,
+    SegmentStore.BLOCK_ROWS - 1, SegmentStore.BLOCK_ROWS,
+    SegmentStore.BLOCK_ROWS + 1, 20_000,
+])
+def test_store_slack_is_at_most_one_block(n):
+    """Blocks never double: after ``n`` appends the columns hold at most
+    32 bytes per row plus one block."""
+    store = SegmentStore()
+    for i in range(n):
+        store.append(i % 8, float(i), float(i + 1), 1.0)
+    block_bytes = 32 * SegmentStore.BLOCK_ROWS
+    assert store.nbytes <= 32 * n + block_bytes
+    store.blocks()  # fold the staged tail
+    assert store.nbytes <= 32 * n + block_bytes
+    assert SegmentView(store).nbytes == store.nbytes
 
 
 def test_store_iteration_yields_segments_in_order():
@@ -109,12 +147,11 @@ def _dual_accountants():
     return cluster, columnar, oracle
 
 
-def _apply_schedule(cluster, schedule):
+def _apply_schedule(cluster, schedule, t=0.0):
     freqs = sorted({
         cluster.cores[0].spec.nearest_pstate(f)
         for f in np.linspace(1.0, 3.2, 9)
     })
-    t = 0.0
     for dt, core_idx, kind, value in schedule:
         t += dt
         core = cluster.cores[core_idx % len(cluster.cores)]
@@ -193,6 +230,91 @@ def test_mid_run_energy_queries_stay_exact():
     assert columnar.cores_energy_j() == oracle.cores_energy_j()
 
 
+_PRODUCTION_BLOCK_ROWS = SegmentStore.BLOCK_ROWS
+
+
+@pytest.mark.parametrize("block_rows, flush_batch, pair_budget", [
+    (1, 1, 1),
+    (3, 2, 7),
+    (3, SegmentStore.FLUSH_BATCH, 1),
+    (SegmentStore.BLOCK_ROWS, 5, 64),
+    (SegmentStore.BLOCK_ROWS, SegmentStore.FLUSH_BATCH, PowerMeter.PAIR_BUDGET),
+])
+def test_block_boundaries_match_oracles(monkeypatch, block_rows, flush_batch,
+                                        pair_budget):
+    """Any block size, staging threshold and pair budget gives the oracles'
+    bytes: energy queried mid-run (the watermark inside a block, staged
+    rows pending) and at the end, the segment log, and the sampled trace."""
+    monkeypatch.setattr(SegmentStore, "BLOCK_ROWS", block_rows)
+    monkeypatch.setattr(SegmentStore, "FLUSH_BATCH", flush_batch)
+    monkeypatch.setattr(PowerMeter, "PAIR_BUDGET", pair_budget)
+    cluster, columnar, oracle = _dual_accountants()
+    rng = random.Random(block_rows * 7919 + flush_batch)
+    meter = PowerMeter(0.05)
+    t = 0.0
+    # Tiny blocks cross many boundaries in a short run; production-sized
+    # ones need a run past their first block.
+    n_steps = 600 if block_rows < 100 else _PRODUCTION_BLOCK_ROWS + 500
+    while len(columnar.segments) < n_steps:
+        schedule = [
+            (rng.uniform(0.0, 0.2), rng.randrange(8), rng.choice(_KINDS),
+             rng.randrange(8))
+            for _ in range(rng.randrange(1, n_steps // 4))
+        ]
+        t = _apply_schedule(cluster, schedule, t)
+        for core in cluster.cores:
+            assert columnar.core_energy_j(core.core_id) == \
+                oracle.core_energy_j(core.core_id)
+        assert columnar.cores_energy_j() == oracle.cores_energy_j()
+    mid = meter.from_segments(columnar.segments, 0.0, t)
+    ref = meter_reference(meter, oracle.segments, 0.0, t)
+    assert np.array_equal(mid.power_w, ref.power_w)
+
+    end = t + 0.5
+    columnar.finalize(end)
+    oracle.finalize(end)
+    assert columnar.total_energy_j() == oracle.total_energy_j()
+    assert columnar.segments == list(oracle.segments)
+    base_w = columnar.model.params.node_base_w * cluster.n_nodes
+    vec = meter.sample(columnar)
+    ref = meter_reference(meter, oracle.segments, 0.0, end, base_w=base_w)
+    assert np.array_equal(vec.times_s, ref.times_s)
+    assert np.array_equal(vec.power_w, ref.power_w)
+
+
+def test_meter_working_memory_is_bounded():
+    """The fold expands a bounded window of (segment, bucket) pairs at a
+    time: 20,000 segments of ~25 buckets each (500k pairs, ~42 MiB when
+    expanded at once) sample in a few MiB, and a segment longer than the
+    pair budget, split across windows, stays exact."""
+    meter = PowerMeter(1.0)
+    store = SegmentStore()
+    segments = []
+    for i in range(20_000):
+        core, k = i % 8, i // 8
+        seg = PowerSegment(core, k * 24.7 + 0.01 * core,
+                           (k + 1) * 24.7 + 0.01 * core, 10.0 + (i % 13))
+        segments.append(seg)
+    span = segments[-1].end
+    segments.append(PowerSegment(0, 0.3, span - 0.3, 7.5))
+    assert span > 2 * PowerMeter.PAIR_BUDGET  # the long one splits
+    for seg in segments:
+        store.append(seg.core_id, seg.start, seg.end, seg.power_w)
+    store.blocks()  # fold the staged tail outside the measured region
+
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        trace = meter.from_segments(store, 0.0, span)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20, f"meter fold peaked at {peak / 2**20:.1f} MiB"
+    ref = meter_reference(meter, segments, 0.0, span)
+    assert np.array_equal(trace.times_s, ref.times_s)
+    assert np.array_equal(trace.power_w, ref.power_w)
+
+
 # ---------------------------------------------------------------------------
 # Meter regressions
 # ---------------------------------------------------------------------------
@@ -211,6 +333,14 @@ def test_degenerate_fp_sliver_final_bucket_is_merged():
     ref = meter_reference(meter, segs, 0.0, end)
     assert np.array_equal(trace.times_s, ref.times_s)
     assert np.array_equal(trace.power_w, ref.power_w)
+
+
+@pytest.mark.parametrize("interval", [
+    float("nan"), float("inf"), float("-inf"), 0.0, -0.5,
+])
+def test_meter_rejects_non_finite_or_non_positive_interval(interval):
+    with pytest.raises(ValueError, match="PowerMeter.interval_s"):
+        PowerMeter(interval)
 
 
 def test_true_partial_final_bucket_still_reported():

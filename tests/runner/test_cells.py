@@ -150,3 +150,33 @@ def test_multijob_cell_without_arbiter_runs_uncapped():
     result = execute_cell(_multijob_cell())
     assert result.arbiter is None
     assert result.duration_s > 0
+
+
+@pytest.mark.parametrize("overrides, match", [
+    ({"power_trace_interval_s": 1e-3}, "power_trace_interval_s.*keep_segments"),
+    ({"power_trace_interval_s": float("nan"), "keep_segments": True},
+     "power_trace_interval_s.*finite positive"),
+    ({"power_trace_interval_s": float("inf"), "keep_segments": True},
+     "power_trace_interval_s.*finite positive"),
+    ({"power_trace_interval_s": 0.0, "keep_segments": True},
+     "power_trace_interval_s.*finite positive"),
+])
+def test_bad_meter_request_fails_before_the_run(monkeypatch, overrides, match):
+    """A meter the cell cannot sample is rejected before its session is
+    built, not after the whole simulation has run."""
+    from repro.mpi.job import MpiJob
+
+    def never(self, program):
+        raise AssertionError("MpiJob.run entered")
+
+    monkeypatch.setattr(MpiJob, "run", never)
+    with pytest.raises(ValueError, match=match):
+        execute_cell(_tiny_cell(**overrides))
+
+
+def test_meter_request_samples_the_kept_timeline():
+    result = execute_cell(_tiny_cell(keep_segments=True,
+                                     power_trace_interval_s=1e-4))
+    trace = result.extra["power_trace"]
+    assert len(trace["times_s"]) == len(trace["power_kw"]) > 1
+    assert trace["mean_power_w"] > 0
