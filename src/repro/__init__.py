@@ -61,7 +61,6 @@ from .sim import (
     SessionConfigError,
     SimSession,
     Tracer,
-    use_tracer,
 )
 
 __version__ = "0.1.0"
@@ -108,6 +107,5 @@ __all__ = [
     "TransitionJitter",
     "parse_fault_spec",
     "run_collective_once",
-    "use_tracer",
     "__version__",
 ]

@@ -153,6 +153,14 @@ def build_program(profile: RankProfile, alltoall_seconds: Dict[int, float]):
     return program
 
 
+def app_cluster_spec(n_ranks: int) -> ClusterSpec:
+    """Fully-subscribed nodes, exactly as many as ``n_ranks`` needs (the
+    paper's 32-rank runs occupy 4 of the 8 nodes; powering the idle
+    half would distort the energy comparison)."""
+    node = ClusterSpec().node
+    return ClusterSpec(nodes=-(-n_ranks // node.cores_per_node), node=node)
+
+
 def run_app(
     app: AppSpec,
     n_ranks: int,
@@ -169,16 +177,14 @@ def run_app(
     app's compute phases pay straggler/OS-noise costs through
     ``ctx.compute`` and its alltoalls see any injected link degradation.
     ``job_kwargs`` reach :class:`~repro.mpi.job.MpiJob`, e.g. a
-    ``governor`` or an ``arbiter`` enforcing a power cap.
+    ``governor`` or an ``arbiter`` enforcing a power cap, or a
+    ``session`` already holding the instruments (it then sets the
+    cluster and the kept timeline, and ``cluster_spec`` and
+    ``keep_segments`` are unused).
     """
     profile = app.profile(n_ranks)
     if cluster_spec is None:
-        # Fully-subscribed nodes, exactly as many as the run needs (the
-        # paper's 32-rank runs occupy 4 of the 8 nodes; powering the idle
-        # half would distort the energy comparison).
-        node = ClusterSpec().node
-        n_nodes = -(-n_ranks // node.cores_per_node)
-        cluster_spec = ClusterSpec(nodes=n_nodes, node=node)
+        cluster_spec = app_cluster_spec(n_ranks)
     engine = CollectiveEngine(CollectiveConfig(power_mode=power_mode))
     job = MpiJob(
         n_ranks,

@@ -15,7 +15,7 @@ from .experiments import (
     run_plan,
 )
 from .export import experiment_to_dict, load_json, save_governor_json, save_json
-from .profile import JobSample, SelfProfile
+from .profile import profile_report
 from .regression import RegressionError, check_against_baseline, refresh_baselines
 from .report import (
     bytes_label,
@@ -40,9 +40,8 @@ __all__ = [
     "experiment_to_dict",
     "format_table",
     "instrument_cells",
-    "JobSample",
     "load_json",
-    "SelfProfile",
+    "profile_report",
     "refresh_baselines",
     "render_experiment",
     "render_sweep_report",

@@ -140,8 +140,8 @@ def run_plan(
     notes)`` and a dict holding, under ``"governor"``/``"faults"``/
     ``"arbiter"``, the report dicts of the cells each overlay touched,
     and under ``"captured"`` the observability payloads
-    (:class:`~repro.obs.capture.CellMetrics` dicts) of the plan's unique
-    cells, once each in input order (empty without ``capture``).
+    (:meth:`~repro.obs.capture.CellCapture.seal` dicts) of the plan's
+    unique cells, once each in input order (empty without ``capture``).
     Reports and payloads round-trip the result cache, so a warm rerun
     reports identically to a cold one.
     """

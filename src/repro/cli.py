@@ -361,9 +361,9 @@ def _run_command(args, out, experiment: str, plan: SweepPlan, title: str,
         else:
             print("arbiter: no simulation ran under the cap", file=out)
     if args.profile:
-        from .bench.profile import JobSample, SelfProfile
+        from .bench.profile import profile_report
 
-        print(SelfProfile([JobSample(**s) for s in samples]).report(), file=out)
+        print(profile_report(samples), file=out)
     return 0
 
 

@@ -15,7 +15,6 @@ machinery (affinity, message engine, communicators, rank contexts).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -35,12 +34,6 @@ from .p2p import MessageEngine, ProgressMode
 #: A rank program: generator function taking (ctx, *args, **kwargs).
 RankProgram = Callable[..., Any]
 
-#: Hooks invoked as ``observer(job, result)`` after every completed run —
-#: a cell captured for ``--profile`` collects its wall-clock samples here
-#: (:func:`repro.obs.capture.capture_cell`) without the job layer knowing
-#: about benchmarking.
-JOB_OBSERVERS: List[Callable[["MpiJob", "JobResult"], None]] = []
-
 
 @dataclass
 class JobStats:
@@ -51,15 +44,6 @@ class JobStats:
     #: Accumulated wall time per instrumented collective phase, e.g.
     #: "bcast.network" (used for Fig 2b/2c reproduction).
     phase_times: Dict[str, float] = field(default_factory=dict)
-    #: Self-profile of the run itself: host wall-clock seconds spent inside
-    #: ``MpiJob.run`` and the kernel events it took (simulator *speed*, as
-    #: opposed to the simulated time/energy above).
-    wall_time_s: float = 0.0
-    events_processed: int = 0
-    #: Fabric re-rating effort: water-filling invocations and the total
-    #: flows they covered (small per call under incremental re-rating).
-    rerate_calls: int = 0
-    flows_rerated: int = 0
 
     def add_phase(self, name: str, dt: float) -> None:
         self.phase_times[name] = self.phase_times.get(name, 0.0) + dt
@@ -230,8 +214,6 @@ class MpiJob:
         if self._ran:
             raise RuntimeError("an MpiJob can only run once; build a new one")
         self._ran = True
-        self._wall_start = time.perf_counter()
-        self._events_before = self.env.events_processed
         self._finish_times = [0.0] * self.n_ranks
         # Completion is tracked apart from the finish time: finishing at
         # t = 0 is legal, and a stuck rank must not pass for one.
@@ -286,13 +268,7 @@ class MpiJob:
                 "an event that never fires?)"
             )
         end = max(self._finish_times) if self._finish_times else self.env.now
-        self.stats.wall_time_s = time.perf_counter() - self._wall_start
-        self.stats.events_processed = (
-            self.env.events_processed - self._events_before
-        )
-        self.stats.rerate_calls = self.net.fabric.rerate_calls
-        self.stats.flows_rerated = self.net.fabric.flows_rerated
-        result = JobResult(
+        return JobResult(
             duration_s=end,
             rank_finish_times=self._finish_times,
             returns=self._returns,
@@ -301,17 +277,11 @@ class MpiJob:
             stats=self.stats,
             job=self,
         )
-        for observer in JOB_OBSERVERS:
-            observer(self, result)
-        return result
 
     def run(self, program: RankProgram, *args: Any, **kwargs: Any) -> JobResult:
         """Run ``program`` on every rank and account time + energy."""
         self.launch(program, *args, **kwargs)
-        self.env.run()
-        end = max(self._finish_times) if self._finish_times else self.env.now
-        self.session.finish_run(end)
-        return self.collect()
+        return self.session._drain([self])[0]
 
 
 def run_collective_once(

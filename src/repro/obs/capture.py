@@ -8,10 +8,10 @@ process-global sink.  Capture is explicit and serializable instead:
    (``--trace`` / ``--metrics`` / ``--profile``) and passes it to
    :func:`repro.runner.run_cells` or :func:`repro.bench.run_plan`; the
    config joins the cell's cache key;
-2. :func:`repro.runner.cells.execute_cell` runs every cell inside
-   :func:`capture_cell`, which stands process-local collectors in for
-   the ambient tracer, metrics registry and job observers, and seals a
-   plain-data :class:`CellMetrics` into the cell's result;
+2. :func:`repro.runner.cells.execute_cell` builds the cell's
+   :class:`CellCapture` from it, whose tracer and profile list go into
+   the cell's session as arguments, and seals the collected payload
+   into the cell's result as plain data;
 3. the caller reads the payloads back from the results —
    :func:`repro.bench.run_plan` returns those of its unique cells in
    input order — and writes them to its own sinks.
@@ -23,14 +23,13 @@ served from the result cache reads back the same way a fresh one does.
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Dict, List, Optional
 
-from ..sim.trace import RecordingTracer, use_tracer
-from .metrics import MetricsRegistry, use_metrics
+from ..sim.trace import NULL_TRACER, RecordingTracer, TeeTracer, Tracer
+from .metrics import MetricsRegistry, MetricsTracer
 
-__all__ = ["CaptureConfig", "CellMetrics", "capture_cell"]
+__all__ = ["CaptureConfig", "CellCapture"]
 
 
 @dataclass(frozen=True)
@@ -47,7 +46,7 @@ class CaptureConfig:
     #: Collect a per-cell :class:`~repro.obs.metrics.MetricsRegistry`
     #: snapshot (``--metrics``).
     metrics: bool = False
-    #: Collect per-job simulator self-profile samples (``--profile``).
+    #: Collect per-run simulator self-profile samples (``--profile``).
     profile: bool = False
 
     def __bool__(self) -> bool:
@@ -57,97 +56,50 @@ class CaptureConfig:
         return {"trace": self.trace, "metrics": self.metrics,
                 "profile": self.profile}
 
-    @classmethod
-    def from_dict(cls, data: Dict[str, bool]) -> "CaptureConfig":
-        return cls(trace=bool(data.get("trace")),
-                   metrics=bool(data.get("metrics")),
-                   profile=bool(data.get("profile")))
 
+class CellCapture:
+    """The sinks of one cell run, built from its :class:`CaptureConfig`.
 
-@dataclass
-class CellMetrics:
-    """Serializable observability payload of one executed cell."""
+    ``tracer`` and ``profile`` are what the cell's session takes as its
+    ``tracer=`` and ``profile=`` arguments: a recorder, a metrics tracer
+    on a fresh registry, their tee or the null tracer, and a sample list
+    or None, for the channels the config turns on.  :meth:`seal` returns
+    what they collected as the cell's plain-data payload.
+    """
 
-    #: Trace records as plain dicts (``{"t", "type", ...fields}``).
-    records: Optional[List[Dict[str, Any]]] = None
-    #: Per-cell metrics snapshot (:meth:`MetricsRegistry.snapshot`).
-    metrics: Optional[Dict[str, Any]] = None
-    #: Per-job self-profile samples (:class:`repro.bench.profile.JobSample`
-    #: fields; ``wall_time_s`` reflects the *original* execution when the
-    #: payload is served from the cache).
-    profile: Optional[List[Dict[str, Any]]] = None
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"records": self.records, "metrics": self.metrics,
-                "profile": self.profile}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "CellMetrics":
-        return cls(records=data.get("records"), metrics=data.get("metrics"),
-                   profile=data.get("profile"))
-
-
-class _CellCapture:
-    """Live collectors for one cell run (sealed into :class:`CellMetrics`)."""
-
-    def __init__(
-        self,
-        config: CaptureConfig,
-        recorder: Optional[RecordingTracer],
-        registry: Optional[MetricsRegistry],
-        samples: Optional[List[Dict[str, Any]]],
-    ):
-        self.config = config
-        self.recorder = recorder
-        self.registry = registry
-        self.samples = samples
+    def __init__(self, config: Optional[CaptureConfig]):
+        config = config or CaptureConfig()
+        self.recorder = RecordingTracer() if config.trace else None
+        self.registry = MetricsRegistry() if config.metrics else None
+        #: Self-profile samples, one per session run (``--profile``).
+        self.profile: Optional[List[Dict[str, Any]]] = (
+            [] if config.profile else None
+        )
+        sinks: List[Tracer] = []
+        if self.recorder is not None:
+            sinks.append(self.recorder)
+        if self.registry is not None:
+            sinks.append(MetricsTracer(self.registry))
+        self.tracer: Tracer = (
+            NULL_TRACER if not sinks
+            else sinks[0] if len(sinks) == 1
+            else TeeTracer(sinks)
+        )
 
     def seal(self) -> Dict[str, Any]:
+        """The collected payload: records as ``{"t", "type", ...fields}``
+        dicts, the metrics snapshot and the profile samples, each None
+        when its channel was off."""
         records = None
         if self.recorder is not None:
             records = [
                 {"t": r.t, "type": r.type, **r.data}
                 for r in self.recorder.records
             ]
-        return CellMetrics(
-            records=records,
-            metrics=self.registry.snapshot() if self.registry is not None else None,
-            profile=self.samples,
-        ).to_dict()
-
-
-@contextlib.contextmanager
-def capture_cell(config: Optional[CaptureConfig]) -> Iterator[_CellCapture]:
-    """Run a cell body under process-local collectors.
-
-    The ambient tracer, metrics registry and job-observer list are
-    replaced for the duration — by a recorder, a fresh registry and one
-    sample-collecting observer for the channels ``config`` turns on, by
-    nothing for the rest — so capture is hermetic: the same cell
-    captures the same payload inline, in a worker, or nested under any
-    outer instrumentation, and the outer sinks see none of it.
-    """
-    from ..mpi.job import JOB_OBSERVERS  # lazy: keep worker imports cheap
-
-    config = config or CaptureConfig()
-    recorder = RecordingTracer() if config.trace else None
-    registry = MetricsRegistry() if config.metrics else None
-    samples: Optional[List[Dict[str, Any]]] = [] if config.profile else None
-
-    def observe(job, result) -> None:
-        samples.append({
-            "n_ranks": job.n_ranks,
-            "sim_time_s": result.duration_s,
-            "wall_time_s": result.stats.wall_time_s,
-            "events_processed": result.stats.events_processed,
-            "rerate_calls": result.stats.rerate_calls,
-            "flows_rerated": result.stats.flows_rerated,
-        })
-
-    saved_observers = JOB_OBSERVERS[:]
-    JOB_OBSERVERS[:] = [observe] if samples is not None else []
-    try:
-        with use_tracer(recorder), use_metrics(registry):
-            yield _CellCapture(config, recorder, registry, samples)
-    finally:
-        JOB_OBSERVERS[:] = saved_observers
+        return {
+            "records": records,
+            "metrics": (
+                self.registry.snapshot() if self.registry is not None else None
+            ),
+            "profile": self.profile,
+        }

@@ -14,11 +14,10 @@ keeps bounded aggregates —
 The registry is fed from the existing trace-hook bus: a
 :class:`MetricsTracer` subscribes like any tracer and converts typed
 records into metric updates (core frequency, T-state duty, link
-utilisation, governor slack EWMA, event-loop rate).  When no registry is
-installed the simulator pays nothing — sessions only build the tee when
-:func:`ambient_metrics_registry` returns one (see
-:class:`repro.sim.session.SimSession`), and every emission site already
-guards on ``tracer.enabled``.
+utilisation, governor slack EWMA, event-loop rate).  A session feeds a
+registry only when it is given the registry's tracer (or a tee holding
+it) as its ``tracer``; without one the simulator pays nothing, since
+every emission site guards on ``tracer.enabled``.
 
 Everything in a snapshot is derived from *simulated* quantities, never
 the host clock, so snapshots are byte-identical across reruns, across
@@ -27,8 +26,7 @@ the host clock, so snapshots are byte-identical across reruns, across
 
 from __future__ import annotations
 
-import contextlib
-from typing import Any, Dict, Iterator, Optional, Set
+from typing import Any, Dict, Set
 
 from ..numeric import left_sum
 from ..sim.trace import Tracer
@@ -37,8 +35,6 @@ __all__ = [
     "MetricsRegistry",
     "MetricsTracer",
     "SeriesStats",
-    "ambient_metrics_registry",
-    "use_metrics",
 ]
 
 
@@ -243,29 +239,3 @@ class MetricsTracer(Tracer):
             if ewma is not None:
                 reg.observe("governor.slack_ewma_s", t, ewma)
 
-
-# -- ambient default --------------------------------------------------------
-# Mirrors use_tracer: sessions built inside the scope tee their trace bus
-# into the registry, so a cell's capture reaches every simulation the
-# cell runs without any constructor threading.
-_DEFAULT: Optional[MetricsRegistry] = None
-
-
-def ambient_metrics_registry() -> Optional[MetricsRegistry]:
-    """The registry new sessions feed, or None (metrics disabled)."""
-    return _DEFAULT
-
-
-@contextlib.contextmanager
-def use_metrics(
-    registry: Optional[MetricsRegistry],
-) -> Iterator[Optional[MetricsRegistry]]:
-    """Scope ``registry`` as the ambient metrics sink (None disables,
-    shadowing any outer scope; restores on exit)."""
-    global _DEFAULT
-    previous = _DEFAULT
-    _DEFAULT = registry
-    try:
-        yield _DEFAULT
-    finally:
-        _DEFAULT = previous

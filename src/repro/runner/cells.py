@@ -15,10 +15,10 @@ seeds) and arbiter configs live *inside* the cell spec — an executor
 builds each instrument for its own session from the params, and there
 is no other way in — so a cell run in a worker process is bit-identical
 to the same cell run inline, the property the parallel executor and the
-result cache both rest on.  What a cell observes leaves only through
-its result: the body runs under :func:`~repro.obs.capture.capture_cell`,
-whose process-local collectors stand in for the caller's tracer, metrics
-registry and job observers.
+result cache both rest on.  Telemetry takes the same road: the cell's
+session gets its tracer and profile list as arguments, built per cell
+from the capture config (:class:`~repro.obs.capture.CellCapture`), so
+what a cell observes leaves only through its result.
 
 Substrate cache
 ---------------
@@ -60,7 +60,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Mapping, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, Mapping, Optional
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..obs.capture import CellCapture
 
 __all__ = [
     "CellResult",
@@ -151,7 +154,7 @@ class CellResult:
     #: Kind-specific extras: sampled power trace, uplink flow counts,
     #: scalar microbenchmark metrics.
     extra: Dict[str, Any] = field(default_factory=dict)
-    #: Observability payload (``CellMetrics.to_dict()`` form) captured
+    #: Observability payload (``CellCapture.seal()`` form) captured
     #: when the caller asked for it — trace records, metrics snapshot,
     #: profile samples.  Simulated content only (plus the original
     #: execution's wall clock in profile samples), so it round-trips
@@ -292,7 +295,8 @@ def _cell_arbiter(params: Mapping):
     return PowerArbiter(ArbiterConfig.from_dict(params["arbiter"]))
 
 
-def _session_from_params(params: Mapping, keep_segments: bool):
+def _session_from_params(params: Mapping, keep_segments: bool,
+                         capture: "CellCapture"):
     from ..sim.session import SimSession
 
     cluster, network, power = _substrate_specs(params)
@@ -305,6 +309,8 @@ def _session_from_params(params: Mapping, keep_segments: bool):
         governor=_cell_governor(params),
         faults=_cell_faults(params),
         arbiter=_cell_arbiter(params),
+        tracer=capture.tracer,
+        profile=capture.profile,
     )
 
 
@@ -375,12 +381,13 @@ def _seal(job, result, session, params: Mapping, meter) -> CellResult:
     return cell
 
 
-def _run_job(params: Mapping, program, keep_segments: bool) -> CellResult:
+def _run_job(params: Mapping, program, capture: "CellCapture") -> CellResult:
     from ..mpi.job import MpiJob
     from ..mpi.p2p import ProgressMode
 
+    keep_segments = bool(params.get("keep_segments", False))
     meter = _cell_meter(params, keep_segments)
-    session = _session_from_params(params, keep_segments)
+    session = _session_from_params(params, keep_segments, capture)
     job = MpiJob(
         int(params["n_ranks"]),
         session=session,
@@ -391,7 +398,7 @@ def _run_job(params: Mapping, program, keep_segments: bool) -> CellResult:
     return _seal(job, result, session, params, meter)
 
 
-def _execute_collective(params: Mapping) -> CellResult:
+def _execute_collective(params: Mapping, capture: "CellCapture") -> CellResult:
     op = params["op"]
     nbytes = int(params["nbytes"])
     iterations = int(params.get("iterations", 1))
@@ -403,10 +410,10 @@ def _execute_collective(params: Mapping) -> CellResult:
                 yield from ctx.compute(compute_s)
             yield from getattr(ctx, op)(nbytes)
 
-    return _run_job(params, program, bool(params.get("keep_segments", False)))
+    return _run_job(params, program, capture)
 
 
-def _execute_alltoallv(params: Mapping) -> CellResult:
+def _execute_alltoallv(params: Mapping, capture: "CellCapture") -> CellResult:
     nbytes = int(params["nbytes"])
 
     def program(ctx):
@@ -418,10 +425,10 @@ def _execute_alltoallv(params: Mapping) -> CellResult:
         ]
         yield from ctx.alltoallv(counts)
 
-    return _run_job(params, program, bool(params.get("keep_segments", False)))
+    return _run_job(params, program, capture)
 
 
-def _execute_mixed(params: Mapping) -> CellResult:
+def _execute_mixed(params: Mapping, capture: "CellCapture") -> CellResult:
     sizes = [int(n) for n in params["sizes"]]
 
     def program(ctx):
@@ -431,20 +438,30 @@ def _execute_mixed(params: Mapping) -> CellResult:
             # saves — the case that separates ADAPTIVE from PROPOSED.
             yield from ctx.bcast(nbytes // 16)
 
-    return _run_job(params, program, bool(params.get("keep_segments", False)))
+    return _run_job(params, program, capture)
 
 
-def _execute_app(params: Mapping) -> CellResult:
+def _execute_app(params: Mapping, capture: "CellCapture") -> CellResult:
     from ..apps import APPS, run_app
+    from ..apps.base import app_cluster_spec
     from ..collectives.registry import PowerMode
+    from ..sim.session import SimSession
 
-    app_result = run_app(
-        APPS[params["app"]],
-        int(params["ranks"]),
-        PowerMode(params.get("mode", "none")),
+    ranks = int(params["ranks"])
+    session = SimSession(
+        cluster_spec=app_cluster_spec(ranks),
+        keep_segments=False,
         governor=_cell_governor(params),
         faults=_cell_faults(params),
         arbiter=_cell_arbiter(params),
+        tracer=capture.tracer,
+        profile=capture.profile,
+    )
+    app_result = run_app(
+        APPS[params["app"]],
+        ranks,
+        PowerMode(params.get("mode", "none")),
+        session=session,
     )
     result = app_result.sim
     cell = CellResult(
@@ -462,11 +479,11 @@ def _execute_app(params: Mapping) -> CellResult:
             "energy_kj": app_result.energy_kj,
         },
     )
-    _harvest_reports(cell, result.job.session)
+    _harvest_reports(cell, session)
     return cell
 
 
-def _execute_osu(params: Mapping) -> CellResult:
+def _execute_osu(params: Mapping, capture: "CellCapture") -> CellResult:
     from ..collectives.registry import PowerMode
     from ..microbench import osu
     from ..mpi.p2p import ProgressMode
@@ -480,7 +497,8 @@ def _execute_osu(params: Mapping) -> CellResult:
     # Build the session here (not inside the benchmark's MpiJob) so a
     # governed/faulted osu cell reconstructs its instrumentation from
     # its own params, exactly like every other cell kind.
-    session = _session_from_params(params, keep_segments=False)
+    session = _session_from_params(params, keep_segments=False,
+                                   capture=capture)
     if bench == "latency":
         metric = osu.osu_latency(
             nbytes, inter_node=inter_node, progress=progress, session=session
@@ -525,7 +543,7 @@ def _job_program(jp: Mapping):
     return program
 
 
-def _execute_multijob(params: Mapping) -> CellResult:
+def _execute_multijob(params: Mapping, capture: "CellCapture") -> CellResult:
     """Co-scheduled jobs sharing one fabric, optionally under an arbiter.
 
     ``params["jobs"]`` is a list of job specs, each with ``n_ranks``,
@@ -538,7 +556,7 @@ def _execute_multijob(params: Mapping) -> CellResult:
     from ..mpi.p2p import ProgressMode
 
     session = _session_from_params(
-        params, bool(params.get("keep_segments", False))
+        params, bool(params.get("keep_segments", False)), capture
     )
     progress = ProgressMode(params.get("progress", "polling"))
     jobs = [
@@ -577,7 +595,7 @@ def _execute_multijob(params: Mapping) -> CellResult:
     return cell
 
 
-_EXECUTORS: Dict[str, Callable[[Mapping], CellResult]] = {
+_EXECUTORS: Dict[str, Callable[[Mapping, "CellCapture"], CellResult]] = {
     "collective": _execute_collective,
     "alltoallv": _execute_alltoallv,
     "mixed": _execute_mixed,
@@ -591,20 +609,21 @@ def execute_cell(cell: SweepCell, capture: Optional[Any] = None) -> CellResult:
     """Run one cell to completion (pure; safe in any process).
 
     ``capture`` is an optional
-    :class:`~repro.obs.capture.CaptureConfig`.  The cell always runs
-    inside :func:`~repro.obs.capture.capture_cell`, so the caller's
-    tracer, metrics registry and job observers never see it; when
-    ``capture`` is truthy, its observability payload (trace records,
-    metrics snapshot, profile samples) is sealed into ``result.metrics``
-    as plain data.  The result is therefore a function of ``(cell,
-    capture)`` alone, wherever it runs.
+    :class:`~repro.obs.capture.CaptureConfig`.  The cell's session
+    reports to the sinks of a :class:`~repro.obs.capture.CellCapture`
+    built from it, and to nothing else (the null tracer and no profile
+    list when ``capture`` is None or all off); when ``capture`` is
+    truthy, their payload (trace records, metrics snapshot, profile
+    samples) is sealed into ``result.metrics`` as plain data.  The
+    result is therefore a function of ``(cell, capture)`` alone,
+    wherever it runs.
     """
-    from ..obs.capture import capture_cell
+    from ..obs.capture import CellCapture
 
     wall0 = time.perf_counter()
-    with capture_cell(capture) as cap:
-        result = _EXECUTORS[cell.kind](cell.params)
+    sinks = CellCapture(capture)
+    result = _EXECUTORS[cell.kind](cell.params, sinks)
     if capture:
-        result.metrics = cap.seal()
+        result.metrics = sinks.seal()
     result.wall_time_s = time.perf_counter() - wall0
     return result

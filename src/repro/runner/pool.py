@@ -26,8 +26,8 @@ signature per worker, not once per cell.
 Determinism argument
 --------------------
 Every cell is a pure function of its spec (fresh ``SimSession`` per
-cell, instruments and seeds inside the spec, observers captured per cell
-in ``execute_cell``), so *where* a cell runs cannot change its simulated
+cell, instruments, seeds and telemetry sinks passed into it as
+arguments), so *where* a cell runs cannot change its simulated
 output.  Batches are collected in submit order — never ``as_completed``
 — and results concatenate back into submission order, so reassembly
 order cannot change either.  Hence ``--jobs N`` output is byte-identical
@@ -356,8 +356,7 @@ def run_cells(
     cache-served — carries its cell's sealed payload in ``metrics``.
     Payloads depend only on the cells, never on ``jobs`` or on which
     layer satisfied a cell, so ``--jobs N`` and a warm-cache rerun read
-    back byte-identical streams.  The caller's own tracer, metrics
-    registry and job observers see nothing of the cells.
+    back byte-identical streams.
     """
     import time
 

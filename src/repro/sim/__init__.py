@@ -32,8 +32,6 @@ from .trace import (
     RecordingTracer,
     Tracer,
     TraceRecord,
-    default_tracer,
-    use_tracer,
 )
 
 __all__ = [
@@ -58,8 +56,6 @@ __all__ = [
     "Timer",
     "TraceRecord",
     "Tracer",
-    "default_tracer",
-    "use_tracer",
 ]
 
 _LAZY = {"SimSession", "SessionConfigError", "check_session_specs"}

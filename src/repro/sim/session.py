@@ -22,10 +22,11 @@ specs (the pre-session signature still works unchanged).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional
+import time
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from .engine import Environment
-from .trace import Tracer, default_tracer
+from .trace import NULL_TRACER, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..cluster.specs import ClusterSpec
@@ -86,11 +87,13 @@ class SimSession:
     """Owns env + cluster + network + power model + accountant + tracer.
 
     Parameters mirror the spec dataclasses; every one is optional and
-    defaults to the paper's testbed.  ``tracer`` defaults to the ambient
-    tracer (see :func:`repro.sim.trace.use_tracer`), which is the null
-    tracer unless a scope is active — a sweep cell's capture installs
-    one.  The instruments (``governor``, ``faults``, ``arbiter``) reach a
-    session only as these arguments.
+    defaults to the paper's testbed.  The instruments (``governor``,
+    ``faults``, ``arbiter``) and the telemetry sinks reach a session
+    only as these arguments: ``tracer`` receives every layer's records
+    (``None`` is :data:`~repro.sim.trace.NULL_TRACER`), and ``profile``,
+    when a list, receives one self-profile sample per run (see
+    :meth:`run_jobs`).  A sweep cell builds both from its
+    :class:`~repro.obs.capture.CaptureConfig`.
     """
 
     def __init__(
@@ -104,6 +107,7 @@ class SimSession:
         governor: Optional["Governor"] = None,
         faults: Optional["FaultPlan"] = None,
         arbiter: Optional["PowerArbiter"] = None,
+        profile: Optional[List[Dict[str, Any]]] = None,
     ):
         from ..cluster.specs import ClusterSpec
         from ..cluster.topology import Cluster
@@ -121,22 +125,9 @@ class SimSession:
                 raise SessionConfigError(
                     "inconsistent session specs:\n  - " + "\n  - ".join(problems)
                 )
-        self.tracer: Tracer = default_tracer() if tracer is None else tracer
-        # An ambient metrics registry (repro.obs `use_metrics` scope) tees
-        # into the trace bus here — one MetricsTracer per session, since
-        # its derived state (per-core frequency, in-flight flows) tracks
-        # one session's clock.  No scope, no tee, no overhead.
-        from ..obs.metrics import MetricsTracer, ambient_metrics_registry
-
-        registry = ambient_metrics_registry()
-        if registry is not None:
-            from .trace import TeeTracer
-
-            metrics_tracer = MetricsTracer(registry)
-            self.tracer = (
-                TeeTracer([self.tracer, metrics_tracer])
-                if self.tracer.enabled else metrics_tracer
-            )
+        self.tracer: Tracer = NULL_TRACER if tracer is None else tracer
+        #: Where each run's self-profile sample goes, or None.
+        self.profile = profile
         self.env: Environment = Environment(tracer=self.tracer)
         self.cluster: "Cluster" = Cluster(self.cluster_spec)
         self.cluster.attach_tracer(self.tracer)
@@ -194,6 +185,11 @@ class SimSession:
         the cluster-idle remainder is stored as ``self.residual_energy_j``
         so ``sum(per-job) + residual == accountant.total_energy_j()``
         exactly (the residual is computed by subtraction).
+
+        With a ``profile`` list the run appends one sample to it (its
+        jobs and their ranks, simulated end, host wall time, kernel
+        events and fabric re-rates), so a run's counters are counted
+        once however many jobs shared it.
         """
         if not jobs:
             raise ValueError("run_jobs needs at least one job")
@@ -206,13 +202,7 @@ class SimSession:
                 raise ValueError(
                     "launch() every job before run_jobs (ranks not queued)"
                 )
-        self.env.run()
-        end = max(
-            (max(job._finish_times) if job._finish_times else self.env.now)
-            for job in jobs
-        )
-        self.finish_run(end)
-        results = [job.collect() for job in jobs]
+        results = self._drain(jobs)
         attributed = 0.0
         for job, result in zip(jobs, results):
             result.energy_j = self.accountant.attribute_energy_j(
@@ -231,6 +221,33 @@ class SimSession:
                     nodes=job.affinity.n_nodes_used,
                     energy_j=result.energy_j,
                 )
+        return results
+
+    def _drain(self, jobs: List["MpiJob"]) -> List["JobResult"]:
+        """Run launched ``jobs`` to completion: drain the event queue,
+        seal the run at their last rank's finish, collect each job's
+        result and append the run's sample to ``profile``."""
+        fabric = self.net.fabric
+        wall0 = time.perf_counter()
+        events0 = self.env.events_processed
+        rerates0, flows0 = fabric.rerate_calls, fabric.flows_rerated
+        self.env.run()
+        end = max(
+            (max(job._finish_times) if job._finish_times else self.env.now)
+            for job in jobs
+        )
+        self.finish_run(end)
+        results = [job.collect() for job in jobs]
+        if self.profile is not None:
+            self.profile.append({
+                "jobs": len(jobs),
+                "n_ranks": sum(job.n_ranks for job in jobs),
+                "sim_time_s": end,
+                "wall_time_s": time.perf_counter() - wall0,
+                "events_processed": self.env.events_processed - events0,
+                "rerate_calls": fabric.rerate_calls - rerates0,
+                "flows_rerated": fabric.flows_rerated - flows0,
+            })
         return results
 
     @property

@@ -52,10 +52,9 @@ line: ``{"t": <float>, "type": "<type>", ...fields}``.
 
 from __future__ import annotations
 
-import contextlib
 import json
 from dataclasses import dataclass, field
-from typing import IO, Any, Dict, Iterator, List, Optional, Union
+from typing import IO, Any, Dict, List, Optional, Union
 
 
 @dataclass(frozen=True)
@@ -204,10 +203,11 @@ class JsonlTracer(Tracer):
 class TeeTracer(Tracer):
     """Fans every record out to several child tracers.
 
-    Built by :class:`~repro.sim.session.SimSession` when an ambient
-    metrics registry is active alongside a record tracer; closing the
-    tee closes its children (matching the session's single-tracer
-    close semantics).
+    A cell captured with both records and metrics hands its session one
+    tee of its recorder and its metrics tracer
+    (:class:`repro.obs.capture.CellCapture`); closing the tee closes
+    its children (matching the session's single-tracer close
+    semantics).
     """
 
     def __init__(self, children: List[Tracer]):
@@ -222,26 +222,3 @@ class TeeTracer(Tracer):
         for child in self.children:
             child.close()
 
-
-# -- ambient default -------------------------------------------------------
-# Components built without an explicit tracer (e.g. jobs constructed deep
-# inside a cell executor) pick up the ambient default, so a cell's
-# capture (repro.obs.capture) reaches every simulation the cell runs.
-_DEFAULT: Tracer = NULL_TRACER
-
-
-def default_tracer() -> Tracer:
-    """The ambient tracer new sessions adopt when none is passed."""
-    return _DEFAULT
-
-
-@contextlib.contextmanager
-def use_tracer(tracer: Optional[Tracer]) -> Iterator[Tracer]:
-    """Scope ``tracer`` as the ambient default (restores on exit)."""
-    global _DEFAULT
-    previous = _DEFAULT
-    _DEFAULT = tracer if tracer is not None else NULL_TRACER
-    try:
-        yield _DEFAULT
-    finally:
-        _DEFAULT = previous

@@ -5,13 +5,7 @@ import json
 import pytest
 
 from repro.mpi.job import MpiJob
-from repro.obs.metrics import (
-    MetricsRegistry,
-    MetricsTracer,
-    SeriesStats,
-    ambient_metrics_registry,
-    use_metrics,
-)
+from repro.obs.metrics import MetricsRegistry, MetricsTracer, SeriesStats
 from repro.sim.session import SimSession
 from repro.sim.trace import NULL_TRACER, TeeTracer
 
@@ -20,8 +14,8 @@ def _program(ctx):
     yield from ctx.alltoall(16 << 10)
 
 
-def _run_once():
-    session = SimSession()
+def _run_once(tracer=None):
+    session = SimSession(tracer=tracer)
     job = MpiJob(8, session=session)
     job.run(_program)
     return session
@@ -174,22 +168,12 @@ class TestMetricsTracer:
 
 
 class TestAmbientScope:
-    def test_default_is_none(self):
-        assert ambient_metrics_registry() is None
-
-    def test_scope_installs_and_restores(self):
-        reg = MetricsRegistry()
-        with use_metrics(reg):
-            assert ambient_metrics_registry() is reg
-            with use_metrics(None):  # inner shadow disables
-                assert ambient_metrics_registry() is None
-            assert ambient_metrics_registry() is reg
-        assert ambient_metrics_registry() is None
+    """No ambient scope is left: a session meters into a registry only
+    through the tracer it is given."""
 
     def test_session_tees_into_registry(self):
         reg = MetricsRegistry()
-        with use_metrics(reg):
-            _run_once()
+        _run_once(MetricsTracer(reg))
         snap = reg.snapshot()
         assert snap["counters"]["net.flows_started"] > 0
         assert snap["counters"]["records.process.resume"] > 0
@@ -204,8 +188,7 @@ class TestAmbientScope:
         session = _run_once()
         bare_t = session.now
         reg = MetricsRegistry()
-        with use_metrics(reg):
-            session2 = _run_once()
+        session2 = _run_once(MetricsTracer(reg))
         assert session2.now == bare_t
 
     def test_snapshot_contains_no_wall_clock(self):
@@ -214,7 +197,6 @@ class TestAmbientScope:
         snaps = []
         for _ in range(2):
             reg = MetricsRegistry()
-            with use_metrics(reg):
-                _run_once()
+            _run_once(MetricsTracer(reg))
             snaps.append(json.dumps(reg.snapshot(), sort_keys=True))
         assert snaps[0] == snaps[1]

@@ -1,13 +1,10 @@
-"""Warm-worker path: substrate cache, hermetic cells, instrumented sweeps.
+"""Warm-worker path: substrate cache, instrumented sweeps.
 
 The tentpole claims of the one-execution-path refactor:
 
 * the per-process substrate cache rebuilds the frozen
   (cluster, network, power) spec triple at most once per unique
   signature, however many cells share it;
-* ``execute_cell`` is hermetic — the calling process's ambient tracer
-  and metrics registry see nothing of a cell, and a cell's result does
-  not depend on them;
 * governed and faulted cells flow through ``run_cells`` with their
   configs reconstructed in-worker, and ``jobs=4``, ``jobs=1`` and a
   warm-cache rerun produce byte-identical results *including* the
@@ -32,7 +29,6 @@ from repro.runner import (
     SweepStats,
     clear_memo,
     clear_substrate_cache,
-    execute_cell,
     run_cells,
     shutdown_pool,
 )
@@ -88,24 +84,6 @@ def test_substrate_counters_reach_stats():
               stats=stats)
     assert stats.substrate_misses == 1
     assert stats.substrate_hits == 1
-
-
-# -- hermetic execution -----------------------------------------------
-def test_execute_cell_shadows_ambient_scopes():
-    """A cell reports nothing to the calling process's ambient tracer or
-    metrics registry, and simulates exactly what it does without them."""
-    from repro.obs.metrics import MetricsRegistry, use_metrics
-    from repro.sim.trace import RecordingTracer, use_tracer
-
-    cell = _collective(1 << 10)
-    bare = execute_cell(cell)
-    tracer, registry = RecordingTracer(), MetricsRegistry()
-    with use_tracer(tracer), use_metrics(registry):
-        shadowed = execute_cell(cell)
-    assert len(tracer) == 0
-    assert registry.snapshot()["counters"] == {}
-    assert shadowed.metrics is None
-    assert _dicts([shadowed]) == _dicts([bare])
 
 
 # -- instrumented cells through every layer ---------------------------

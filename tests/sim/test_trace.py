@@ -10,8 +10,6 @@ from repro.sim.trace import (
     NULL_TRACER,
     JsonlTracer,
     TraceRecord,
-    default_tracer,
-    use_tracer,
 )
 
 
@@ -134,28 +132,6 @@ def test_jsonl_tracer_borrowed_file_left_open():
     tracer.close()
     assert not buf.closed  # borrowed, not owned
     assert json.loads(buf.getvalue()) == {"t": 0.0, "type": "mark", "name": "a"}
-
-
-def test_use_tracer_scopes_the_ambient_default():
-    assert default_tracer() is NULL_TRACER
-    tracer = RecordingTracer()
-    with use_tracer(tracer) as active:
-        assert active is tracer
-        assert default_tracer() is tracer
-        with use_tracer(None):  # None re-scopes to the null tracer
-            assert default_tracer() is NULL_TRACER
-        assert default_tracer() is tracer
-    assert default_tracer() is NULL_TRACER
-
-
-def test_use_tracer_restores_on_exception():
-    tracer = RecordingTracer()
-    try:
-        with use_tracer(tracer):
-            raise RuntimeError("boom")
-    except RuntimeError:
-        pass
-    assert default_tracer() is NULL_TRACER
 
 
 def test_core_transitions_emit_power_state_events():

@@ -15,7 +15,7 @@ SCANNED = (ROOT / "src", ROOT / "tests" / "oracles")
 #: Built-in ``sum()`` calls left in them, by file: integer counts, or
 #: host wall times that no result digest includes.
 ALLOWED_BUILTIN_SUMS = {
-    "src/repro/bench/profile.py": 4,      # host wall time, event/flow counts
+    "src/repro/bench/profile.py": 4,      # job, event and flow counts
     "src/repro/bench/report.py": 1,       # host wall times
     "src/repro/campaign/executor.py": 1,  # host wall times
     "src/repro/cli.py": 7,                # fault and arbiter report counts
@@ -23,6 +23,7 @@ ALLOWED_BUILTIN_SUMS = {
     "src/repro/network/fabric.py": 1,     # group sizes
     "src/repro/runner/cache.py": 2,       # byte sizes, removal counts
     "src/repro/runner/cells.py": 3,       # link flow and transition counts
+    "src/repro/sim/session.py": 1,        # rank count of a profiled run
 }
 
 
