@@ -9,7 +9,8 @@ leaders cross the spine.
 Run:  python examples/rack_topology.py
 """
 
-from repro import ClusterSpec, CollectiveConfig, CollectiveEngine, MpiJob, PowerMode
+from repro import (ClusterSpec, CollectiveConfig, CollectiveEngine, MpiJob,
+                   PowerMode, SimSession)
 
 RACKED = ClusterSpec(nodes=16, racks=4)
 
@@ -20,7 +21,8 @@ def main() -> None:
     print(f"{'scheme':14s} {'latency':>12s} {'avg power':>11s} {'spine flows':>12s}")
     for mode in PowerMode:
         engine = CollectiveEngine(CollectiveConfig(power_mode=mode))
-        job = MpiJob(128, cluster_spec=RACKED, collectives=engine)
+        job = MpiJob(128, session=SimSession(cluster_spec=RACKED),
+                     collectives=engine)
 
         def program(ctx):
             for _ in range(4):

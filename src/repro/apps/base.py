@@ -23,6 +23,7 @@ from typing import Dict, Optional, Tuple
 from ..cluster.specs import ClusterSpec
 from ..collectives.registry import CollectiveConfig, CollectiveEngine, PowerMode
 from ..mpi.job import JobResult, MpiJob
+from ..sim.session import SimSession
 
 #: Collective operations an app profile may invoke.
 _COMM_OPS = ("alltoall", "alltoallv", "allreduce", "bcast", "reduce", "allgather")
@@ -165,35 +166,23 @@ def run_app(
     app: AppSpec,
     n_ranks: int,
     power_mode: PowerMode = PowerMode.NONE,
-    cluster_spec: Optional[ClusterSpec] = None,
-    keep_segments: bool = False,
-    faults: Optional["FaultPlan"] = None,  # noqa: F821
-    **job_kwargs,
+    session: Optional[SimSession] = None,
 ) -> AppResult:
     """Run ``app`` at ``n_ranks`` under ``power_mode``; extrapolate to the
     full iteration count.
 
-    ``faults`` (a :class:`repro.faults.FaultPlan`) perturbs the run — the
-    app's compute phases pay straggler/OS-noise costs through
-    ``ctx.compute`` and its alltoalls see any injected link degradation.
-    ``job_kwargs`` reach :class:`~repro.mpi.job.MpiJob`, e.g. a
-    ``governor`` or an ``arbiter`` enforcing a power cap, or a
-    ``session`` already holding the instruments (it then sets the
-    cluster and the kept timeline, and ``cluster_spec`` and
-    ``keep_segments`` are unused).
+    The run goes on ``session``, which sets the machine and any
+    instruments: a fault plan perturbs the app's compute phases and its
+    alltoalls, a governor or an arbiter drives its cores.  ``None`` is
+    :func:`app_cluster_spec`'s cluster without a kept timeline.
     """
     profile = app.profile(n_ranks)
-    if cluster_spec is None:
-        cluster_spec = app_cluster_spec(n_ranks)
+    if session is None:
+        session = SimSession(
+            cluster_spec=app_cluster_spec(n_ranks), keep_segments=False
+        )
     engine = CollectiveEngine(CollectiveConfig(power_mode=power_mode))
-    job = MpiJob(
-        n_ranks,
-        cluster_spec=cluster_spec,
-        collectives=engine,
-        keep_segments=keep_segments,
-        faults=faults,
-        **job_kwargs,
-    )
+    job = MpiJob(n_ranks, collectives=engine, session=session)
     tracer = job.session.tracer
     if tracer.enabled:
         tracer.mark(

@@ -11,13 +11,13 @@ DVFS/T-state transition latencies.  Same plan ⇒ bit-identical run.
 
 Quick start::
 
-    from repro import FaultPlan, LinkDegrade, MpiJob, OsNoise
+    from repro import FaultPlan, LinkDegrade, MpiJob, OsNoise, SimSession
 
     plan = FaultPlan(seed=7, injectors=(
         LinkDegrade(factor=0.5, node_fraction=0.25),
         OsNoise(period_s=1e-3, pulse_s=25e-6),
     ))
-    job = MpiJob(64, faults=plan)
+    job = MpiJob(64, session=SimSession(faults=plan))
 
 A plan is plain data (:meth:`FaultPlan.to_dict`), so it also travels as a
 sweep-cell parameter: the CLI's ``--faults`` flag parses one with

@@ -8,15 +8,12 @@ print.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from ..cluster.specs import ClusterSpec
 from ..collectives.registry import CollectiveConfig, CollectiveEngine, PowerMode
 from ..mpi.job import MpiJob
 from ..mpi.p2p import ProgressMode
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..sim.session import SimSession
+from ..sim.session import SimSession
 
 #: Default OSU size ladder (powers of two, 1 B .. 4 MB).
 DEFAULT_SIZES: Tuple[int, ...] = tuple(1 << k for k in range(0, 23, 2))
@@ -29,22 +26,34 @@ DEFAULT_WINDOW = 64
 
 
 def _job(n_ranks: int, mode: PowerMode, progress: ProgressMode,
-         cluster_spec: Optional[ClusterSpec],
-         session: Optional["SimSession"] = None) -> MpiJob:
-    engine = CollectiveEngine(CollectiveConfig(power_mode=mode))
-    if session is not None:
-        # An externally owned session (the sweep runner builds one per
-        # cell, with the cell's governor/faults already bound).
-        return MpiJob(
-            n_ranks, session=session, collectives=engine, progress=progress,
-        )
+         session: Optional[SimSession]) -> MpiJob:
     return MpiJob(
         n_ranks,
-        cluster_spec=cluster_spec,
-        collectives=engine,
+        session=SimSession(keep_segments=False) if session is None else session,
+        collectives=CollectiveEngine(CollectiveConfig(power_mode=mode)),
         progress=progress,
-        keep_segments=False,
     )
+
+
+def _pair_job(inter_node: bool, progress: ProgressMode,
+              session: Optional[SimSession]) -> Tuple[MpiJob, int]:
+    """A job for a two-rank benchmark and rank 0's peer in it.
+
+    The job fills two nodes (2 x ``cores_per_node`` ranks of the
+    session's cluster); the inter-node peer is the first rank of the
+    second node, the intra-node one rank 1.
+    """
+    if session is None:
+        session = SimSession(keep_segments=False)
+    spec = session.cluster_spec
+    if spec.nodes < 2:
+        raise ValueError(
+            "OSU point-to-point benchmarks need a cluster of at least two "
+            f"nodes, got {spec.nodes}"
+        )
+    cores = spec.node.cores_per_node
+    job = _job(2 * cores, PowerMode.NONE, progress, session)
+    return job, cores if inter_node else 1
 
 
 def osu_latency(
@@ -53,15 +62,15 @@ def osu_latency(
     iterations: int = DEFAULT_ITERATIONS,
     warmup: int = DEFAULT_WARMUP,
     progress: ProgressMode = ProgressMode.POLLING,
-    session: Optional["SimSession"] = None,
+    session: Optional[SimSession] = None,
 ) -> float:
     """One-way point-to-point latency in seconds (ping-pong / 2).
 
-    ``inter_node`` picks a cross-node pair (ranks 0 and 8); otherwise the
-    two ranks share a node (shared-memory path).
+    ``inter_node`` picks a cross-node pair (rank 0 and the first rank of
+    the second node); otherwise the two ranks share a node (shared-memory
+    path).
     """
-    peer = 8 if inter_node else 1
-    job = _job(16, PowerMode.NONE, progress, None, session=session)
+    job, peer = _pair_job(inter_node, progress, session)
     out = {}
 
     def program(ctx):
@@ -87,11 +96,10 @@ def osu_bw(
     iterations: int = DEFAULT_ITERATIONS,
     warmup: int = DEFAULT_WARMUP,
     window: int = DEFAULT_WINDOW,
-    session: Optional["SimSession"] = None,
+    session: Optional[SimSession] = None,
 ) -> float:
     """Unidirectional streaming bandwidth in B/s (windowed isends + ack)."""
-    peer = 8 if inter_node else 1
-    job = _job(16, PowerMode.NONE, ProgressMode.POLLING, None, session=session)
+    job, peer = _pair_job(inter_node, ProgressMode.POLLING, session)
     out = {}
 
     def program(ctx):
@@ -122,11 +130,10 @@ def osu_bibw(
     iterations: int = DEFAULT_ITERATIONS,
     warmup: int = DEFAULT_WARMUP,
     window: int = DEFAULT_WINDOW,
-    session: Optional["SimSession"] = None,
+    session: Optional[SimSession] = None,
 ) -> float:
     """Bidirectional bandwidth in B/s (both sides stream simultaneously)."""
-    peer = 8 if inter_node else 1
-    job = _job(16, PowerMode.NONE, ProgressMode.POLLING, None, session=session)
+    job, peer = _pair_job(inter_node, ProgressMode.POLLING, session)
     out = {}
 
     def program(ctx):
@@ -156,12 +163,11 @@ def osu_collective_latency(
     iterations: int = DEFAULT_ITERATIONS,
     warmup: int = DEFAULT_WARMUP,
     progress: ProgressMode = ProgressMode.POLLING,
-    cluster_spec: Optional[ClusterSpec] = None,
-    session: Optional["SimSession"] = None,
+    session: Optional[SimSession] = None,
 ) -> float:
     """Average collective latency in seconds (barrier-separated timed loop,
     like osu_alltoall / osu_bcast / ...)."""
-    job = _job(n_ranks, mode, progress, cluster_spec, session=session)
+    job = _job(n_ranks, mode, progress, session)
     out = {}
 
     def program(ctx):

@@ -80,11 +80,14 @@ def fit_cnet_from_simulation(
     factor" is, physically, HCA sharing.
     """
     from ..mpi.job import run_collective_once
+    from ..sim.session import SimSession
 
     cores = 8
     n_nodes = n_ranks // cores
     times = [
-        run_collective_once("alltoall", m, n_ranks, keep_segments=False).duration_s
+        run_collective_once(
+            "alltoall", m, n_ranks, session=SimSession(keep_segments=False)
+        ).duration_s
         for m in sizes
     ]
     return fit_cnet(n_nodes, cores, sizes, times)

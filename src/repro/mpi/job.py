@@ -7,10 +7,10 @@ Typical use::
     result = job.run(my_program, arg1, arg2)
     print(result.duration_s, result.energy_kj)
 
-A job either adopts the session passed in or builds a private one from the
-spec arguments (the historical signature).  Either way the session owns
-env + cluster + fabric + power model + tracer; the job adds the MPI-side
-machinery (affinity, message engine, communicators, rank contexts).
+A job runs on the session it is given (``SimSession()``, the paper
+testbed, when none is): the session owns env + cluster + fabric + power
+model + tracer and the instruments; the job adds the MPI-side machinery
+(affinity, message engine, communicators, rank contexts).
 """
 
 from __future__ import annotations
@@ -20,11 +20,8 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..cluster.affinity import AffinityMap, AffinityPolicy
 from ..cluster.cpu import Activity
-from ..cluster.specs import ClusterSpec
-from ..network.params import NetworkSpec
 from ..power.accounting import EnergyAccountant
 from ..power.meter import PowerMeter, PowerTrace
-from ..power.model import PowerModelParams
 from ..sim import Event
 from ..sim.session import SimSession
 from .communicator import CommLayout, CommunicatorFactory
@@ -75,52 +72,22 @@ class JobResult:
 
 
 class MpiJob:
-    """One simulated MPI execution on a freshly built cluster."""
+    """One simulated MPI execution on a :class:`SimSession`."""
 
     def __init__(
         self,
         n_ranks: int,
-        cluster_spec: Optional[ClusterSpec] = None,
-        network_spec: Optional[NetworkSpec] = None,
-        power_params: Optional[PowerModelParams] = None,
         affinity: AffinityPolicy = AffinityPolicy.BUNCH,
         progress: ProgressMode = ProgressMode.POLLING,
         collectives: Optional["CollectiveEngine"] = None,  # noqa: F821
-        keep_segments: bool = True,
         session: Optional[SimSession] = None,
-        governor: Optional["Governor"] = None,  # noqa: F821
-        faults: Optional["FaultPlan"] = None,  # noqa: F821
-        arbiter: Optional["PowerArbiter"] = None,  # noqa: F821
         node_offset: int = 0,
     ):
         from ..collectives.registry import CollectiveEngine  # local: avoid cycle
 
         self.n_ranks = n_ranks
         if session is None:
-            session = SimSession(
-                cluster_spec=cluster_spec,
-                network_spec=network_spec,
-                power_params=power_params,
-                keep_segments=keep_segments,
-                governor=governor,
-                faults=faults,
-                arbiter=arbiter,
-            )
-        elif governor is not None:
-            raise ValueError(
-                "pass the governor to the SimSession (the session owns it), "
-                "not to a job adopting an existing session"
-            )
-        elif faults is not None:
-            raise ValueError(
-                "pass the fault plan to the SimSession (the session owns "
-                "it), not to a job adopting an existing session"
-            )
-        elif arbiter is not None:
-            raise ValueError(
-                "pass the arbiter to the SimSession (the session owns it), "
-                "not to a job adopting an existing session"
-            )
+            session = SimSession()
         self.session = session
         #: Optional online power governor (None = zero-overhead path).
         self.governor = session.governor

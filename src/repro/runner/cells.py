@@ -22,13 +22,13 @@ what a cell observes leaves only through its result.
 
 Substrate cache
 ---------------
-Parsing and validating the (cluster, network, power) spec triple is
-identical for every cell of a sweep that shares a substrate, so a
-process caches the parsed frozen spec dataclasses per canonical-JSON
-signature (:data:`SUBSTRATE_COUNTERS` accounts hits/misses/rebuild
-time).  Only the immutable *specs* are shared — every cell still gets a
-fresh :class:`~repro.sim.session.SimSession`, which owns all mutable
-simulation state, so purity is unaffected.  A warm pool worker
+Parsing the (cluster, network, power) spec triple is identical for
+every cell of a sweep that shares a substrate, so a process caches the
+parsed frozen spec dataclasses per canonical-JSON signature
+(:data:`SUBSTRATE_COUNTERS` accounts hits/misses/rebuild time).  Only
+the immutable *specs* are shared — every cell still gets a fresh
+:class:`~repro.sim.session.SimSession`, which validates them and owns
+all mutable simulation state, so purity is unaffected.  A warm pool worker
 therefore rebuilds each unique substrate spec at most once per worker
 lifetime.
 
@@ -190,8 +190,8 @@ class CellResult:
 # Substrate cache (per process; workers keep it warm across batches)
 # ---------------------------------------------------------------------
 #: Canonical-JSON (cluster, network, power) signature → parsed frozen
-#: spec dataclasses, validated once.  Sessions are still built fresh per
-#: cell — only the immutable specs are shared.
+#: spec dataclasses.  Sessions are still built fresh per cell (and
+#: validate their specs) — only the immutable specs are shared.
 _SUBSTRATE_SPECS: Dict[str, tuple] = {}
 
 #: Process-wide substrate-cache accounting.  The pool folds per-batch
@@ -235,7 +235,6 @@ def _substrate_specs(params: Mapping) -> tuple:
     from ..cluster.specs import ClusterSpec
     from ..network.params import NetworkSpec
     from ..power.model import PowerModelParams
-    from ..sim.session import SessionConfigError, check_session_specs
 
     cluster = (
         ClusterSpec.from_dict(params["cluster"])
@@ -252,12 +251,6 @@ def _substrate_specs(params: Mapping) -> tuple:
         if params.get("power") is not None
         else None
     )
-    # Validate once per signature; sessions then skip re-validation.
-    problems = check_session_specs(cluster, network)
-    if problems:
-        raise SessionConfigError(
-            "inconsistent session specs:\n  - " + "\n  - ".join(problems)
-        )
     cached = (cluster, network, power)
     _SUBSTRATE_SPECS[signature] = cached
     SUBSTRATE_COUNTERS["misses"] += 1
@@ -295,8 +288,7 @@ def _cell_arbiter(params: Mapping):
     return PowerArbiter(ArbiterConfig.from_dict(params["arbiter"]))
 
 
-def _session_from_params(params: Mapping, keep_segments: bool,
-                         capture: "CellCapture"):
+def _session_from_params(params: Mapping, capture: "CellCapture"):
     from ..sim.session import SimSession
 
     cluster, network, power = _substrate_specs(params)
@@ -304,8 +296,7 @@ def _session_from_params(params: Mapping, keep_segments: bool,
         cluster_spec=cluster,
         network_spec=network,
         power_params=power,
-        keep_segments=keep_segments,
-        validate=False,  # validated once per signature in _substrate_specs
+        keep_segments=bool(params.get("keep_segments", False)),
         governor=_cell_governor(params),
         faults=_cell_faults(params),
         arbiter=_cell_arbiter(params),
@@ -335,13 +326,13 @@ def _harvest_reports(cell: CellResult, session) -> None:
         cell.arbiter = session.arbiter.report().to_dict()
 
 
-def _cell_meter(params: Mapping, keep_segments: bool):
+def _cell_meter(params: Mapping):
     """The cell's power meter, or None; a bad request fails here, before
     anything is simulated, not after the run when the trace is sampled."""
     interval = params.get("power_trace_interval_s")
     if interval is None:
         return None
-    if not keep_segments:
+    if not params.get("keep_segments", False):
         raise ValueError(
             "cell parameter power_trace_interval_s needs keep_segments=True: "
             "without a kept power timeline there is nothing to sample"
@@ -385,9 +376,8 @@ def _run_job(params: Mapping, program, capture: "CellCapture") -> CellResult:
     from ..mpi.job import MpiJob
     from ..mpi.p2p import ProgressMode
 
-    keep_segments = bool(params.get("keep_segments", False))
-    meter = _cell_meter(params, keep_segments)
-    session = _session_from_params(params, keep_segments, capture)
+    meter = _cell_meter(params)
+    session = _session_from_params(params, capture)
     job = MpiJob(
         int(params["n_ranks"]),
         session=session,
@@ -463,23 +453,14 @@ def _execute_app(params: Mapping, capture: "CellCapture") -> CellResult:
         PowerMode(params.get("mode", "none")),
         session=session,
     )
-    result = app_result.sim
-    cell = CellResult(
-        duration_s=result.duration_s,
-        energy_j=result.energy_j,
-        average_power_w=result.average_power_w,
-        phase_times=dict(result.stats.phase_times),
-        dvfs_transitions=result.stats.dvfs_transitions,
-        throttle_transitions=result.stats.throttle_transitions,
-        app={
-            "name": app_result.app,
-            "total_time_s": app_result.total_time_s,
-            "alltoall_time_s": app_result.alltoall_time_s,
-            "alltoall_fraction": app_result.alltoall_fraction,
-            "energy_kj": app_result.energy_kj,
-        },
-    )
-    _harvest_reports(cell, session)
+    cell = _seal(app_result.sim.job, app_result.sim, session, params, None)
+    cell.app = {
+        "name": app_result.app,
+        "total_time_s": app_result.total_time_s,
+        "alltoall_time_s": app_result.alltoall_time_s,
+        "alltoall_fraction": app_result.alltoall_fraction,
+        "energy_kj": app_result.energy_kj,
+    }
     return cell
 
 
@@ -494,11 +475,7 @@ def _execute_osu(params: Mapping, capture: "CellCapture") -> CellResult:
         ProgressMode.BLOCKING if params.get("blocking") else ProgressMode.POLLING
     )
     inter_node = not params.get("intra_node", False)
-    # Build the session here (not inside the benchmark's MpiJob) so a
-    # governed/faulted osu cell reconstructs its instrumentation from
-    # its own params, exactly like every other cell kind.
-    session = _session_from_params(params, keep_segments=False,
-                                   capture=capture)
+    session = _session_from_params(params, capture)
     if bench == "latency":
         metric = osu.osu_latency(
             nbytes, inter_node=inter_node, progress=progress, session=session
@@ -555,9 +532,7 @@ def _execute_multijob(params: Mapping, capture: "CellCapture") -> CellResult:
     from ..mpi.job import MpiJob
     from ..mpi.p2p import ProgressMode
 
-    session = _session_from_params(
-        params, bool(params.get("keep_segments", False)), capture
-    )
+    session = _session_from_params(params, capture)
     progress = ProgressMode(params.get("progress", "polling"))
     jobs = [
         MpiJob(

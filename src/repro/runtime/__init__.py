@@ -22,8 +22,8 @@ Layers
     budgets (``uniform`` / ``redistribute``) across co-scheduled jobs.
 
 A governor or arbiter reaches a simulation one way: as an argument to
-the :class:`~repro.sim.session.SimSession` (or the
-:class:`~repro.mpi.job.MpiJob` that builds one) that owns it.  Sweep
+the :class:`~repro.sim.session.SimSession` that owns it and that every
+:class:`~repro.mpi.job.MpiJob` on it runs on.  Sweep
 cells carry the configs as plain data (``GovernorConfig.to_dict()``),
 and each cell's executor builds the instrument for its own session; the
 reports come back as dicts on the cell's result.
@@ -33,7 +33,7 @@ Use::
     from repro.runtime import Governor, GovernorConfig, GovernorPolicy
 
     gov = Governor(GovernorConfig(policy=GovernorPolicy.COUNTDOWN))
-    job = MpiJob(64, governor=gov)
+    job = MpiJob(64, session=SimSession(governor=gov))
     result = job.run(program)
     print(gov.report().one_line())
 """

@@ -16,8 +16,9 @@ Use::
     session = SimSession(tracer=JsonlTracer("run.jsonl"))
     job = MpiJob(n_ranks=64, session=session)
 
-or let :class:`~repro.mpi.job.MpiJob` build its own private session from
-specs (the pre-session signature still works unchanged).
+A session is the only place that describes a job's machine and
+instruments; a :class:`~repro.mpi.job.MpiJob` given none runs on
+``SimSession()``, the paper testbed.
 """
 
 from __future__ import annotations
@@ -103,7 +104,6 @@ class SimSession:
         power_params: Optional["PowerModelParams"] = None,
         tracer: Optional[Tracer] = None,
         keep_segments: bool = True,
-        validate: bool = True,
         governor: Optional["Governor"] = None,
         faults: Optional["FaultPlan"] = None,
         arbiter: Optional["PowerArbiter"] = None,
@@ -119,12 +119,11 @@ class SimSession:
 
         self.cluster_spec = cluster_spec or ClusterSpec.paper_testbed()
         self.network_spec = network_spec or NetworkSpec()
-        if validate:
-            problems = check_session_specs(self.cluster_spec, self.network_spec)
-            if problems:
-                raise SessionConfigError(
-                    "inconsistent session specs:\n  - " + "\n  - ".join(problems)
-                )
+        problems = check_session_specs(self.cluster_spec, self.network_spec)
+        if problems:
+            raise SessionConfigError(
+                "inconsistent session specs:\n  - " + "\n  - ".join(problems)
+            )
         self.tracer: Tracer = NULL_TRACER if tracer is None else tracer
         #: Where each run's self-profile sample goes, or None.
         self.profile = profile

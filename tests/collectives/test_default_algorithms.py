@@ -5,13 +5,16 @@ import pytest
 from repro.collectives import CollectiveConfig, CollectiveEngine
 from repro.mpi import MpiJob
 from repro.network import NetworkSpec
+from repro.sim import SimSession
 
 IDEAL_NET = NetworkSpec(flow_congestion=0.0)
 
 
-def run_collective(op, nbytes, n_ranks=16, config=None, **kw):
-    kw.setdefault("network_spec", IDEAL_NET)
-    job = MpiJob(n_ranks, collectives=CollectiveEngine(config), **kw)
+def run_collective(op, nbytes, n_ranks=16, config=None):
+    job = MpiJob(
+        n_ranks, collectives=CollectiveEngine(config),
+        session=SimSession(network_spec=IDEAL_NET),
+    )
 
     def program(ctx):
         yield from getattr(ctx, op)(nbytes)
@@ -55,7 +58,7 @@ def test_alltoall_scales_with_message_size():
 
 def test_alltoallv_uniform_matches_alltoall_shape():
     n = 16
-    job = MpiJob(n, network_spec=IDEAL_NET)
+    job = MpiJob(n, session=SimSession(network_spec=IDEAL_NET))
 
     def program(ctx):
         yield from ctx.alltoallv([1 << 14] * n)
@@ -65,7 +68,7 @@ def test_alltoallv_uniform_matches_alltoall_shape():
 
 
 def test_alltoallv_validates_counts():
-    job = MpiJob(16, network_spec=IDEAL_NET)
+    job = MpiJob(16, session=SimSession(network_spec=IDEAL_NET))
 
     def program(ctx):
         yield from ctx.alltoallv([1, 2, 3])  # wrong length
@@ -76,7 +79,7 @@ def test_alltoallv_validates_counts():
 
 def test_alltoallv_skewed_finishes():
     n = 16
-    job = MpiJob(n, network_spec=IDEAL_NET)
+    job = MpiJob(n, session=SimSession(network_spec=IDEAL_NET))
 
     def program(ctx):
         counts = [((ctx.rank + d) % n) * 512 for d in range(n)]
@@ -89,7 +92,7 @@ def test_alltoallv_skewed_finishes():
 # ------------------------------------------------------------------- bcast
 def test_bcast_completes_all_roots():
     for root in (0, 5, 15):
-        job = MpiJob(16, network_spec=IDEAL_NET)
+        job = MpiJob(16, session=SimSession(network_spec=IDEAL_NET))
 
         def program(ctx, root=root):
             yield from ctx.bcast(1 << 16, root=root)
@@ -130,7 +133,7 @@ def test_reduce_completes_and_records_phase():
 
 
 def test_reduce_non_leader_root():
-    job = MpiJob(16, network_spec=IDEAL_NET)
+    job = MpiJob(16, session=SimSession(network_spec=IDEAL_NET))
 
     def program(ctx):
         yield from ctx.reduce(4096, root=5)
@@ -164,7 +167,7 @@ def test_scatter_and_gather_complete():
 
 
 def test_barrier_synchronises():
-    job = MpiJob(16, network_spec=IDEAL_NET)
+    job = MpiJob(16, session=SimSession(network_spec=IDEAL_NET))
     after = {}
 
     def program(ctx):
@@ -178,7 +181,7 @@ def test_barrier_synchronises():
 
 
 def test_successive_collectives_do_not_cross_match():
-    job = MpiJob(16, network_spec=IDEAL_NET)
+    job = MpiJob(16, session=SimSession(network_spec=IDEAL_NET))
 
     def program(ctx):
         yield from ctx.alltoall(1 << 14)
@@ -193,7 +196,7 @@ def test_successive_collectives_do_not_cross_match():
 
 def test_collective_on_subcommunicator():
     """Flat algorithms run on an arbitrary communicator (here: leaders)."""
-    job = MpiJob(16, network_spec=IDEAL_NET)
+    job = MpiJob(16, session=SimSession(network_spec=IDEAL_NET))
 
     def program(ctx):
         if ctx.is_node_leader():

@@ -205,7 +205,10 @@ def test_core_granularity_saves_more_than_socket():
     results = {}
     for gran in (ThrottleGranularity.SOCKET, ThrottleGranularity.CORE):
         spec = ClusterSpec.with_shape(nodes=8, granularity=gran)
-        r = run_mode("bcast", 1 << 20, PowerMode.PROPOSED, cluster_spec=spec)
+        r = run_mode(
+            "bcast", 1 << 20, PowerMode.PROPOSED,
+            session=SimSession(cluster_spec=spec),
+        )
         results[gran] = r
     sock = results[ThrottleGranularity.SOCKET]
     core = results[ThrottleGranularity.CORE]

@@ -4,12 +4,13 @@ import pytest
 
 from repro.mpi import MpiJob
 from repro.network import NetworkSpec
+from repro.sim import SimSession
 
 IDEAL_NET = NetworkSpec(flow_congestion=0.0)
 
 
 def run_op(op, nbytes, n=16):
-    job = MpiJob(n, network_spec=IDEAL_NET)
+    job = MpiJob(n, session=SimSession(network_spec=IDEAL_NET))
 
     def program(ctx):
         yield from getattr(ctx, op)(nbytes)
@@ -47,8 +48,8 @@ def test_reduce_scatter_with_dvfs_mode():
 
     job = MpiJob(
         16,
-        network_spec=IDEAL_NET,
         collectives=CollectiveEngine(CollectiveConfig(power_mode=PowerMode.DVFS)),
+        session=SimSession(network_spec=IDEAL_NET),
     )
 
     def program(ctx):

@@ -5,12 +5,13 @@ sub-communicator."""
 
 from repro.mpi import MpiJob
 from repro.network import NetworkSpec
+from repro.sim import SimSession
 
 IDEAL_NET = NetworkSpec(flow_congestion=0.0)
 
 
 def test_world_bcast_interleaved_with_leader_comm_bcast():
-    job = MpiJob(16, network_spec=IDEAL_NET)
+    job = MpiJob(16, session=SimSession(network_spec=IDEAL_NET))
 
     def program(ctx):
         # mc_bcast internally runs a scatter-allgather on the leader comm.
@@ -26,7 +27,7 @@ def test_world_bcast_interleaved_with_leader_comm_bcast():
 
 
 def test_world_reduce_interleaved_with_shared_comm_traffic():
-    job = MpiJob(16, network_spec=IDEAL_NET)
+    job = MpiJob(16, session=SimSession(network_spec=IDEAL_NET))
 
     def program(ctx):
         yield from ctx.reduce(16 << 10)
@@ -46,7 +47,7 @@ def test_world_reduce_interleaved_with_shared_comm_traffic():
 def test_unbalanced_leader_comm_usage_stays_consistent():
     """Leaders advance the leader-comm counter inside composed collectives;
     repeated composed + direct usage must stay aligned."""
-    job = MpiJob(16, network_spec=IDEAL_NET)
+    job = MpiJob(16, session=SimSession(network_spec=IDEAL_NET))
 
     def program(ctx):
         for _ in range(3):

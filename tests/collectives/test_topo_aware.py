@@ -11,6 +11,7 @@ from repro.collectives import (
     topo_scatter,
 )
 from repro.mpi import MpiJob
+from repro.sim import SimSession
 
 #: 4 racks x 4 nodes x 8 cores = 128 ranks.
 RACKED = ClusterSpec(nodes=16, racks=4)
@@ -19,8 +20,8 @@ RACKED = ClusterSpec(nodes=16, racks=4)
 def rack_job(mode=PowerMode.NONE, n_ranks=128, **kw):
     return MpiJob(
         n_ranks,
-        cluster_spec=RACKED,
         collectives=CollectiveEngine(CollectiveConfig(power_mode=mode)),
+        session=SimSession(cluster_spec=RACKED),
         **kw,
     )
 
@@ -99,7 +100,11 @@ def test_topo_bcast_starts_fewer_flows_on_uplinks_at_similar_cost():
     leaders touch the uplinks."""
 
     def run(rack_aware: bool):
-        job = MpiJob(128, cluster_spec=RACKED, collectives=CollectiveEngine())
+        job = MpiJob(
+            128,
+            collectives=CollectiveEngine(),
+            session=SimSession(cluster_spec=RACKED),
+        )
 
         def program(ctx):
             if rack_aware:

@@ -29,7 +29,7 @@ class TestComputePerturbation:
         plan = FaultPlan(seed=1, injectors=(
             Straggler(multiplier=2.0, fraction=1.0),
         ))
-        job = MpiJob(8, faults=plan)
+        job = MpiJob(8, session=SimSession(faults=plan))
         result = job.run(_compute_program(1e-3))
         assert result.duration_s == pytest.approx(2e-3)
         assert job.faults.report().straggler_cores == len(job.cluster.cores)
@@ -38,7 +38,7 @@ class TestComputePerturbation:
         plan = FaultPlan(seed=1, injectors=(
             OsNoise(period_s=100e-6, pulse_s=10e-6, core_fraction=1.0),
         ))
-        job = MpiJob(8, faults=plan)
+        job = MpiJob(8, session=SimSession(faults=plan))
         result = job.run(_compute_program(1e-3))
         pulses_per_rank = job.faults.report().noise_pulses // 8
         assert pulses_per_rank == 10
@@ -48,7 +48,7 @@ class TestComputePerturbation:
         plan = FaultPlan(seed=1, injectors=(
             OsNoise(period_s=100e-6, pulse_s=10e-6, core_fraction=1.0),
         ))
-        job = MpiJob(8, faults=plan)
+        job = MpiJob(8, session=SimSession(faults=plan))
 
         def program(ctx):
             for _ in range(4):  # 4 x 50us accrues 2 pulses per rank, not 0
@@ -76,7 +76,7 @@ class TestLinkFaults:
             LinkDegrade(factor=0.5, node_fraction=1.0),
         ))
         degraded = run_collective_once(
-            "alltoall", 256 << 10, n_ranks=64, faults=plan
+            "alltoall", 256 << 10, n_ranks=64, session=SimSession(faults=plan)
         )
         assert degraded.duration_s > quiet.duration_s * 1.3
 
@@ -85,7 +85,7 @@ class TestLinkFaults:
             LinkFlap(factor=0.1, period_s=1e-3, down_s=200e-6,
                      duration_s=20e-3, node_fraction=1.0),
         ))
-        job = MpiJob(64, faults=plan)
+        job = MpiJob(64, session=SimSession(faults=plan))
         job.run(_compute_program(1e-3))
         # env.run() drains every flap boundary; factors must stack back
         # to exactly 1.0 (no float drift) on every link.
@@ -97,7 +97,7 @@ class TestLinkFaults:
         plan = FaultPlan(seed=2, injectors=(
             LinkDegrade(factor=0.25, node_fraction=1.0),
         ))
-        job = MpiJob(8, faults=plan)
+        job = MpiJob(8, session=SimSession(faults=plan))
         job.run(_compute_program(1e-4))
         assert job.net.fabric.link("nic_up:0").fault_factor == 0.25
 
@@ -110,7 +110,7 @@ class TestTransitionJitter:
 
         quiet = MpiJob(8).run(transitions).duration_s
         plan = FaultPlan(seed=4, injectors=(TransitionJitter(lo=2.0, hi=2.0),))
-        job = MpiJob(8, faults=plan)
+        job = MpiJob(8, session=SimSession(faults=plan))
         jittered = job.run(transitions).duration_s
         assert jittered == pytest.approx(2.0 * quiet)
         assert job.faults.report().jittered_transitions == 2 * 8
@@ -120,7 +120,7 @@ class TestTransitionJitter:
 
         plan = FaultPlan(seed=4, injectors=(TransitionJitter(lo=1.5, hi=1.5),))
         gov = Governor(GovernorConfig(policy=GovernorPolicy.COUNTDOWN))
-        job = MpiJob(64, governor=gov, faults=plan)
+        job = MpiJob(64, session=SimSession(governor=gov, faults=plan))
 
         def program(ctx):
             yield from ctx.alltoall(256 << 10)
@@ -173,12 +173,6 @@ class TestDeterminismAndIsolation:
         session = SimSession()
         assert session.faults is None
         assert session.net.fabric.link("nic_up:0").fault_factor == 1.0
-
-    def test_adopted_session_rejects_job_level_plan(self):
-        session = SimSession()
-        plan = FaultPlan(seed=5, injectors=(Straggler(),))
-        with pytest.raises(ValueError, match="session owns"):
-            MpiJob(8, session=session, faults=plan)
 
     def test_fault_trace_records_emitted(self):
         tracer = RecordingTracer()

@@ -1,5 +1,8 @@
 """Tests for the simulated OSU microbenchmarks."""
 
+import pytest
+
+from repro.cluster import ClusterSpec, NodeSpec
 from repro.microbench import (
     osu_bibw,
     osu_bw,
@@ -8,6 +11,7 @@ from repro.microbench import (
     sweep,
 )
 from repro.mpi import ProgressMode
+from repro.sim import SimSession
 
 
 def test_latency_small_message_near_wire_latency():
@@ -32,6 +36,23 @@ def test_blocking_latency_higher():
     polling = osu_latency(64 << 10, iterations=4)
     blocking = osu_latency(64 << 10, iterations=4, progress=ProgressMode.BLOCKING)
     assert blocking > polling
+
+
+@pytest.mark.parametrize("bench", [osu_latency, osu_bw, osu_bibw])
+def test_inter_node_pair_spans_two_nodes_on_wider_nodes(bench):
+    """On 16-core nodes ranks 0 and 8 share node 0; the inter-node pair
+    is ranks 0 and 16, which reads what the testbed's ranks 0 and 8 do."""
+    wide = SimSession(
+        cluster_spec=ClusterSpec(nodes=2, node=NodeSpec(sockets=4)),
+        keep_segments=False,
+    )
+    assert bench(1 << 20, iterations=2, session=wide) == bench(1 << 20, iterations=2)
+
+
+def test_point_to_point_needs_two_nodes():
+    one_node = SimSession(cluster_spec=ClusterSpec(nodes=1))
+    with pytest.raises(ValueError, match="at least two nodes, got 1"):
+        osu_latency(8, session=one_node)
 
 
 def test_bw_approaches_line_rate():

@@ -4,12 +4,13 @@ import pytest
 
 from repro.mpi import MpiJob
 from repro.network import NetworkSpec
+from repro.sim import SimSession
 
 IDEAL_NET = NetworkSpec(flow_congestion=0.0)
 
 
 def test_split_by_parity():
-    job = MpiJob(16, network_spec=IDEAL_NET)
+    job = MpiJob(16, session=SimSession(network_spec=IDEAL_NET))
     results = {}
 
     def program(ctx):
@@ -23,7 +24,7 @@ def test_split_by_parity():
 
 
 def test_split_key_reorders():
-    job = MpiJob(16, network_spec=IDEAL_NET)
+    job = MpiJob(16, session=SimSession(network_spec=IDEAL_NET))
     results = {}
 
     def program(ctx):
@@ -38,7 +39,7 @@ def test_split_key_reorders():
 
 
 def test_split_undefined_color_returns_none():
-    job = MpiJob(16, network_spec=IDEAL_NET)
+    job = MpiJob(16, session=SimSession(network_spec=IDEAL_NET))
     results = {}
 
     def program(ctx):
@@ -52,7 +53,7 @@ def test_split_undefined_color_returns_none():
 
 
 def test_split_communicator_is_usable_for_collectives():
-    job = MpiJob(16, network_spec=IDEAL_NET)
+    job = MpiJob(16, session=SimSession(network_spec=IDEAL_NET))
     done = {}
 
     def program(ctx):
@@ -66,7 +67,7 @@ def test_split_communicator_is_usable_for_collectives():
 
 
 def test_repeated_splits_get_distinct_comms():
-    job = MpiJob(16, network_spec=IDEAL_NET)
+    job = MpiJob(16, session=SimSession(network_spec=IDEAL_NET))
     ids = {}
 
     def program(ctx):
@@ -83,7 +84,7 @@ def test_repeated_splits_get_distinct_comms():
 
 def test_split_synchronises_ranks():
     """comm_split cannot complete before the slowest member arrives."""
-    job = MpiJob(16, network_spec=IDEAL_NET)
+    job = MpiJob(16, session=SimSession(network_spec=IDEAL_NET))
     times = {}
 
     def program(ctx):
@@ -98,7 +99,7 @@ def test_split_synchronises_ranks():
 
 # ------------------------------------------------------------ wait helpers
 def test_waitall_returns_values():
-    job = MpiJob(16, network_spec=IDEAL_NET)
+    job = MpiJob(16, session=SimSession(network_spec=IDEAL_NET))
     got = {}
 
     def program(ctx):
@@ -117,7 +118,7 @@ def test_waitall_returns_values():
 
 
 def test_waitany_returns_first():
-    job = MpiJob(16, network_spec=IDEAL_NET)
+    job = MpiJob(16, session=SimSession(network_spec=IDEAL_NET))
     got = {}
 
     def program(ctx):
@@ -138,7 +139,7 @@ def test_waitany_returns_first():
 
 
 def test_waitany_empty_rejected():
-    job = MpiJob(16, network_spec=IDEAL_NET)
+    job = MpiJob(16, session=SimSession(network_spec=IDEAL_NET))
 
     def program(ctx):
         if ctx.rank == 0:

@@ -3,14 +3,18 @@
 import pytest
 
 from repro.cluster import Activity, AffinityPolicy, ClusterSpec, ThrottleGranularity
+from repro.faults import FaultPlan, Straggler
 from repro.mpi import MpiJob
 from repro.network import NetworkSpec
+from repro.power import PowerModelParams
+from repro.runtime import ArbiterConfig, Governor, GovernorConfig, PowerArbiter
+from repro.sim import SimSession
 
 IDEAL_NET = NetworkSpec(flow_congestion=0.0)
 
 
 def test_run_returns_results_per_rank():
-    job = MpiJob(16, network_spec=IDEAL_NET)
+    job = MpiJob(16, session=SimSession(network_spec=IDEAL_NET))
 
     def program(ctx):
         yield from ctx.compute(1e-4)
@@ -34,7 +38,7 @@ def test_job_runs_once_only():
 
 
 def test_compute_scales_with_frequency():
-    job = MpiJob(16, network_spec=IDEAL_NET)
+    job = MpiJob(16, session=SimSession(network_spec=IDEAL_NET))
     times = {}
 
     def program(ctx):
@@ -52,7 +56,7 @@ def test_compute_scales_with_frequency():
 
 
 def test_compute_scales_with_throttle():
-    job = MpiJob(16, network_spec=IDEAL_NET)
+    job = MpiJob(16, session=SimSession(network_spec=IDEAL_NET))
     times = {}
 
     def program(ctx):
@@ -67,7 +71,7 @@ def test_compute_scales_with_throttle():
 
 
 def test_scale_frequency_charges_odvfs():
-    job = MpiJob(16, network_spec=IDEAL_NET)
+    job = MpiJob(16, session=SimSession(network_spec=IDEAL_NET))
     times = {}
 
     def program(ctx):
@@ -81,7 +85,7 @@ def test_scale_frequency_charges_odvfs():
 
 
 def test_throttle_socket_granularity_affects_peers():
-    job = MpiJob(16, network_spec=IDEAL_NET)
+    job = MpiJob(16, session=SimSession(network_spec=IDEAL_NET))
     states = {}
 
     def program(ctx):
@@ -100,7 +104,7 @@ def test_throttle_socket_granularity_affects_peers():
 
 def test_throttle_core_granularity_isolated():
     spec = ClusterSpec.with_shape(nodes=2, granularity=ThrottleGranularity.CORE)
-    job = MpiJob(16, cluster_spec=spec, network_spec=IDEAL_NET)
+    job = MpiJob(16, session=SimSession(cluster_spec=spec, network_spec=IDEAL_NET))
     states = {}
 
     def program(ctx):
@@ -115,7 +119,7 @@ def test_throttle_core_granularity_isolated():
 
 
 def test_throttle_noop_costs_nothing():
-    job = MpiJob(16, network_spec=IDEAL_NET)
+    job = MpiJob(16, session=SimSession(network_spec=IDEAL_NET))
     times = {}
 
     def program(ctx):
@@ -129,7 +133,7 @@ def test_throttle_noop_costs_nothing():
 
 
 def test_node_flags_coordinate_ranks():
-    job = MpiJob(16, network_spec=IDEAL_NET)
+    job = MpiJob(16, session=SimSession(network_spec=IDEAL_NET))
     times = {}
 
     def program(ctx):
@@ -145,7 +149,7 @@ def test_node_flags_coordinate_ranks():
 
 
 def test_node_flags_are_node_local():
-    job = MpiJob(16, network_spec=IDEAL_NET)
+    job = MpiJob(16, session=SimSession(network_spec=IDEAL_NET))
     fired = {}
 
     def program(ctx):
@@ -161,7 +165,7 @@ def test_node_flags_are_node_local():
 
 
 def test_arrive_counting_flag():
-    job = MpiJob(16, network_spec=IDEAL_NET)
+    job = MpiJob(16, session=SimSession(network_spec=IDEAL_NET))
     times = {}
 
     def program(ctx):
@@ -189,7 +193,7 @@ def test_energy_accounting_integrated_with_run():
 
 
 def test_activity_restored_after_run():
-    job = MpiJob(16, network_spec=IDEAL_NET)
+    job = MpiJob(16, session=SimSession(network_spec=IDEAL_NET))
 
     def program(ctx):
         yield from ctx.compute(1e-4)
@@ -200,13 +204,16 @@ def test_activity_restored_after_run():
 
 
 def test_affinity_policy_respected():
-    job = MpiJob(16, affinity=AffinityPolicy.SCATTER, network_spec=IDEAL_NET)
+    job = MpiJob(
+        16, affinity=AffinityPolicy.SCATTER,
+        session=SimSession(network_spec=IDEAL_NET),
+    )
     assert job.affinity.socket_group(0) == 0
     assert job.affinity.socket_group(1) == 1
 
 
 def test_idle_context_op():
-    job = MpiJob(16, network_spec=IDEAL_NET)
+    job = MpiJob(16, session=SimSession(network_spec=IDEAL_NET))
 
     def program(ctx):
         if ctx.rank == 0:
@@ -217,7 +224,7 @@ def test_idle_context_op():
 
 
 def test_compute_negative_rejected():
-    job = MpiJob(16, network_spec=IDEAL_NET)
+    job = MpiJob(16, session=SimSession(network_spec=IDEAL_NET))
 
     def program(ctx):
         yield from ctx.compute(-1.0)
@@ -241,7 +248,7 @@ def test_power_trace_from_result():
 def test_job_with_a_stuck_rank_fails_naming_it():
     """A rank parked on an event that never fires used to pass as a rank
     that finished at t = 0, silently shortening ``duration_s``."""
-    job = MpiJob(8, network_spec=IDEAL_NET)
+    job = MpiJob(8, session=SimSession(network_spec=IDEAL_NET))
     never = job.env.event()
 
     def program(ctx):
@@ -254,7 +261,7 @@ def test_job_with_a_stuck_rank_fails_naming_it():
 
 
 def test_rank_finishing_at_time_zero_is_not_stuck():
-    job = MpiJob(8, network_spec=IDEAL_NET)
+    job = MpiJob(8, session=SimSession(network_spec=IDEAL_NET))
 
     def program(ctx):
         return ctx.rank
@@ -263,3 +270,25 @@ def test_rank_finishing_at_time_zero_is_not_stuck():
     result = job.run(program)
     assert result.duration_s == 0.0
     assert result.returns == list(range(8))
+
+
+#: What a job once took next to its session: the machine (four specs)
+#: and the instruments (three), all of which the session now owns.
+SESSION_KEYWORDS = {
+    "cluster_spec": ClusterSpec(nodes=2),
+    "network_spec": NetworkSpec(shm_bw=1.0),
+    "power_params": PowerModelParams(),
+    "keep_segments": False,
+    "governor": Governor(GovernorConfig()),
+    "faults": FaultPlan(seed=5, injectors=(Straggler(),)),
+    "arbiter": PowerArbiter(ArbiterConfig(power_cap_w=1000.0)),
+}
+
+
+@pytest.mark.parametrize("keyword", list(SESSION_KEYWORDS))
+def test_job_describes_its_machine_only_through_its_session(keyword):
+    """A spec passed next to a session used to be dropped without a word
+    (the job ran on the session's machine), and an instrument refused
+    with a ValueError; neither is a job argument any more."""
+    with pytest.raises(TypeError, match=keyword):
+        MpiJob(8, session=SimSession(), **{keyword: SESSION_KEYWORDS[keyword]})

@@ -4,12 +4,13 @@ import pytest
 
 from repro.mpi import MpiJob
 from repro.network import NetworkSpec
+from repro.sim import SimSession
 
 IDEAL_NET = NetworkSpec(flow_congestion=0.0)
 
 
 def hop_time(src, dst):
-    job = MpiJob(16, network_spec=IDEAL_NET)
+    job = MpiJob(16, session=SimSession(network_spec=IDEAL_NET))
     out = {}
 
     def program(ctx):

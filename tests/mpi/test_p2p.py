@@ -9,9 +9,8 @@ from repro.sim import Interrupt, RecordingTracer, SimSession
 IDEAL_NET = NetworkSpec(flow_congestion=0.0)
 
 
-def make_job(n=16, **kw):
-    kw.setdefault("network_spec", IDEAL_NET)
-    return MpiJob(n, **kw)
+def make_job(n=16):
+    return MpiJob(n, session=SimSession(network_spec=IDEAL_NET))
 
 
 def test_simple_send_recv():
@@ -336,7 +335,9 @@ def test_interrupted_exchange_resumes_its_rank_once():
 
 def test_blocking_mode_slower_but_core_sleeps():
     def run(progress):
-        job = MpiJob(16, progress=progress, network_spec=IDEAL_NET)
+        job = MpiJob(
+            16, progress=progress, session=SimSession(network_spec=IDEAL_NET)
+        )
         times = {}
 
         def program(ctx):
@@ -364,7 +365,9 @@ def test_blocking_intra_node_uses_loopback():
     """Intra-node blocking messages pay network-style latency (§II-B)."""
 
     def one_hop(progress):
-        job = MpiJob(16, progress=progress, network_spec=IDEAL_NET)
+        job = MpiJob(
+            16, progress=progress, session=SimSession(network_spec=IDEAL_NET)
+        )
         times = {}
 
         def program(ctx):

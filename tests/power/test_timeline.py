@@ -363,15 +363,18 @@ def test_governed_faulted_job_identical_across_backends():
         GovernorConfig,
         GovernorPolicy,
     )
+    from repro.sim.session import SimSession
 
     job = MpiJob(
         32,
-        cluster_spec=ClusterSpec.with_shape(4),
-        governor=Governor(GovernorConfig(policy=GovernorPolicy.COUNTDOWN)),
-        faults=parse_fault_spec(
-            "degrade:factor=0.6,frac=0.25;"
-            "noise:period=500us,pulse=20us,frac=0.25",
-            seed=3,
+        session=SimSession(
+            cluster_spec=ClusterSpec.with_shape(4),
+            governor=Governor(GovernorConfig(policy=GovernorPolicy.COUNTDOWN)),
+            faults=parse_fault_spec(
+                "degrade:factor=0.6,frac=0.25;"
+                "noise:period=500us,pulse=20us,frac=0.25",
+                seed=3,
+            ),
         ),
     )
     oracle = ObjectAccountant(job.cluster, PowerModel())

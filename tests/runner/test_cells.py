@@ -90,6 +90,22 @@ def test_execute_cell_is_deterministic():
     assert first["energy_j"] > 0
 
 
+def test_contradicting_substrate_params_fail_with_the_session_message():
+    """A racked cluster under a flat oversubscribed switch is refused by
+    the cell's session, naming the conflict."""
+    from repro.cluster import ClusterSpec
+    from repro.network import NetworkSpec
+    from repro.sim import SessionConfigError, check_session_specs
+
+    cluster = ClusterSpec(nodes=8, racks=2)
+    network = NetworkSpec(switch_oversubscription=4.0)
+    cell = _tiny_cell(cluster=cluster.to_dict(), network=network.to_dict())
+    (problem,) = check_session_specs(cluster, network)
+    with pytest.raises(SessionConfigError) as excinfo:
+        execute_cell(cell)
+    assert str(excinfo.value) == "inconsistent session specs:\n  - " + problem
+
+
 def test_execute_cell_with_faults_is_deterministic():
     """The fault plan's seed lives inside the spec, so perturbed cells
     are exactly as reproducible as quiet ones."""

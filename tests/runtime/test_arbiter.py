@@ -31,7 +31,8 @@ def _single_job(arbiter=None, cap_w=None):
     if cap_w is not None:
         arbiter = PowerArbiter(ArbiterConfig(power_cap_w=cap_w))
     return MpiJob(
-        SPEC.nodes * CORES_PER_NODE, cluster_spec=SPEC, arbiter=arbiter,
+        SPEC.nodes * CORES_PER_NODE,
+        session=SimSession(cluster_spec=SPEC, arbiter=arbiter),
     )
 
 
@@ -99,15 +100,6 @@ def test_arbiter_binds_once():
     SimSession(cluster_spec=SPEC, arbiter=arbiter)
     with pytest.raises(ValueError):
         SimSession(cluster_spec=SPEC, arbiter=arbiter)
-
-
-def test_job_rejects_arbiter_with_adopted_session():
-    session = SimSession(cluster_spec=SPEC)
-    with pytest.raises(ValueError):
-        MpiJob(
-            CORES_PER_NODE, session=session,
-            arbiter=PowerArbiter(ArbiterConfig(power_cap_w=1000.0)),
-        )
 
 
 # -- redistribution across co-scheduled jobs ---------------------------------

@@ -34,8 +34,9 @@ def _mixed_program(ctx):
 
 def _run(governor=None, progress=ProgressMode.POLLING, spec=SPEC, program=None):
     job = MpiJob(
-        RANKS, cluster_spec=spec, progress=progress,
-        keep_segments=True, governor=governor,
+        RANKS,
+        progress=progress,
+        session=SimSession(cluster_spec=spec, keep_segments=True, governor=governor),
     )
     result = job.run(program or _mixed_program)
     return job, result
@@ -246,13 +247,6 @@ def test_governor_cannot_bind_twice():
         SimSession(cluster_spec=SPEC, governor=gov)
 
 
-def test_job_rejects_governor_with_adopted_session():
-    session = SimSession(cluster_spec=SPEC)
-    gov = Governor(GovernorConfig(policy=GovernorPolicy.COUNTDOWN))
-    with pytest.raises(ValueError):
-        MpiJob(RANKS, session=session, governor=gov)
-
-
 def test_merge_reports_sums_explicit_governor_runs():
     config = GovernorConfig(policy=GovernorPolicy.COUNTDOWN, theta_s=50e-6)
     reports = []
@@ -272,7 +266,10 @@ def test_cancelled_theta_timer_does_not_extend_bounded_run():
     early must not keep a bounded run alive past the horizon, and must
     leave no pending work behind."""
     gov = Governor(GovernorConfig(policy=GovernorPolicy.COUNTDOWN, theta_s=10.0))
-    job = MpiJob(RANKS, cluster_spec=SPEC, keep_segments=False, governor=gov)
+    job = MpiJob(
+        RANKS,
+        session=SimSession(cluster_spec=SPEC, keep_segments=False, governor=gov),
+    )
 
     def program(ctx):
         yield from ctx.alltoall(64 << 10)
@@ -300,7 +297,10 @@ def _run_parked(gov, spec, parked_ranks):
     """Run a program where ``parked_ranks`` wait on a recv that never
     arrives while everyone else computes past θ, then drain the engine:
     the parked cores are still dropped when the run is sealed."""
-    job = MpiJob(RANKS, cluster_spec=spec, keep_segments=False, governor=gov)
+    job = MpiJob(
+        RANKS,
+        session=SimSession(cluster_spec=spec, keep_segments=False, governor=gov),
+    )
 
     def program(ctx):
         if ctx.rank in parked_ranks:

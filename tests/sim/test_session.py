@@ -80,12 +80,6 @@ def test_memory_bandwidth_below_copy_bandwidth_rejected():
         SimSession(network_spec=network)
 
 
-def test_validate_false_skips_spec_checks():
-    network = NetworkSpec(mem_bw_node=1e9, shm_bw=4.5e9)
-    session = SimSession(network_spec=network, validate=False)
-    assert session.network_spec is network
-
-
 def test_racked_cluster_with_infinite_switch_accepted():
     cluster = ClusterSpec(nodes=8, racks=2)
     network = NetworkSpec()
