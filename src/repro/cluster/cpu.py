@@ -38,6 +38,10 @@ class Activity(enum.Enum):
 #: Listener signature: called *before* a state change with (core, now).
 StateListener = Callable[["Core", float], None]
 
+#: Duty cycle per T-state, so a state change reads it instead of
+#: re-checking the level's range in :func:`tstate_duty`.
+_DUTY = tuple(tstate_duty(level) for level in range(NUM_TSTATES))
+
 
 class Core:
     """One physical core with mutable (frequency, tstate, activity) state."""
@@ -154,7 +158,7 @@ class Core:
     @property
     def duty(self) -> float:
         """Fraction of active cycles under the current T-state."""
-        return tstate_duty(self.tstate)
+        return _DUTY[self.tstate]
 
     def _update_speed(self) -> None:
         """Refresh ``speed_factor``: relative instruction throughput vs.
@@ -163,7 +167,7 @@ class Core:
         a scaled/throttled core.  Called by the only two writers of its
         inputs, :meth:`set_frequency` and :meth:`set_tstate`, so reads
         (twice per message, once per CPU overhead) cost nothing."""
-        self.speed_factor = (self.frequency_ghz / self.spec.fmax) * self.duty
+        self.speed_factor = (self.frequency_ghz / self.spec.fmax) * _DUTY[self.tstate]
 
     def cpu_time(self, seconds_at_peak: float) -> float:
         """Wall time needed for work that takes ``seconds_at_peak`` at

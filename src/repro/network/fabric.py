@@ -15,9 +15,9 @@ links, so their allocations are independent and the untouched ones keep
 their rates (this is exact, not an approximation).  Byte progress is
 settled lazily per flow.
 
-:class:`Fabric` keeps the mutable flow state in slot-addressed numpy
-arrays (:class:`FlowTable`) and turns each hot operation into whole-array
-expressions (DESIGN.md §12):
+:class:`Fabric` keeps the mutable flow state in slot-addressed columns of
+Python floats (:class:`FlowTable`), so the per-flow scalar paths pay no
+numpy boxing, and gathers arrays only for large re-rates (DESIGN.md §12):
 
 * **Admission batching** — ``transfer()`` writes the flow's table row
   and appends it to a pending wave, arming a zero-delay flush via
@@ -26,20 +26,21 @@ expressions (DESIGN.md §12):
   population), so one re-rate per touched component, taken once the
   whole wave is admitted, gives exactly the rates a re-rate after every
   single admission would end on.
-* **Two fillers, one answer** — waves of at most
+* **Fillers with one answer** — re-rates of at most
   :attr:`Fabric.SMALL_BATCH` flows are solved in scalar code on the flow
-  objects: in closed form (:func:`single_path_rates`) when every flow of
-  a component crosses the same links, else by :func:`maxmin_rates`;
-  larger waves run :func:`waterfill`, whole rounds of the share/freeze
-  loop as array ops over a links×flows incidence relation in COO form.
-  All three fold floating-point sums in one canonical order (components
+  objects: in closed form when every flow of a component crosses the
+  same links (:func:`single_path_rates`) or when its flows form
+  link-disjoint single-path groups that no cap can bind
+  (:func:`disjoint_path_rates`), else by :func:`maxmin_rates`; larger
+  re-rates run :func:`waterfill`, whole rounds of the share/freeze loop
+  as array ops over a links×flows incidence relation in COO form.  All
+  of them fold floating-point sums in one canonical order (components
   in admission order, each link's frozen demand summed then subtracted
   once per round), so they agree bit for bit.
-* **Batched completions** — predicted finish times live in one persistent
-  vector; the single wake-up timer is armed from its ``min()`` and due
-  flows are selected with one comparison, then settled and retired in
-  ``(finish, seq)`` order: by a scalar loop when at most
-  :attr:`Fabric.SMALL_BATCH` are due, else as array ops.
+* **One settle, one completion path** — every re-rate settles its flows
+  through the same scalar loop, and predicted finish times live in one
+  column: the single wake-up timer is armed from its ``min()``, and the
+  due flows are settled and retired in ``(finish, seq)`` order.
 * **Cached capacities** — :attr:`Link.capacity` is computed once per
   change of its inputs (see :class:`Link`), not on every re-rate.
 
@@ -304,6 +305,56 @@ def single_path_rates(
     return rates
 
 
+def disjoint_path_rates(
+    paths: Sequence[Tuple[Sequence[float], int]],
+    min_cap: float,
+    congestion: float = 0.0,
+    congestion_saturation: int = 7,
+) -> Optional[List[float]]:
+    """Max-min rates of link-disjoint single-path groups, in closed form.
+
+    ``paths`` gives each group's link capacities and flow count, and
+    ``min_cap`` is the smallest cap of any flow; the result lists one
+    rate per group (every flow of a group gets it), bit for bit what
+    :func:`maxmin_rates` gives on the union.  Returns None when
+    ``min_cap`` lies below the largest group share: a cap may then
+    bind, and the union needs :func:`maxmin_rates`.
+
+    No link carries two groups, so a group's share — its tightest
+    link's capacity over the congestion factor for its flow count, over
+    its flow count — is its links' smallest share in every round until
+    it freezes (division is monotone under rounding).  With no cap
+    binding, each :func:`maxmin_rates` round sets the level to the
+    smallest share left and freezes every group whose share lies
+    within :func:`_tight_limit` of it, the tolerance coupling across
+    groups included; walking the sorted shares replays those rounds.
+    """
+    shares = []
+    for capacities, n in paths:
+        residual = min(capacities)
+        if congestion > 0.0:
+            residual = residual / (
+                1.0 + congestion * min(n - 1, congestion_saturation)
+            )
+        shares.append(residual / n)
+    if min_cap < max(shares):
+        return None
+    order = sorted(range(len(shares)), key=shares.__getitem__)
+    n = len(order)
+    rates = [0.0] * n
+    pos = 0
+    while pos < n:
+        level = shares[order[pos]]
+        limit = _tight_limit(level)
+        end = pos + 1
+        while end < n and shares[order[end]] <= limit:
+            end += 1
+        for k in order[pos:end]:
+            rates[k] = level
+        pos = end
+    return rates
+
+
 def waterfill(
     n_links: int,
     caps: np.ndarray,
@@ -431,17 +482,17 @@ class Flow:
 
     @property
     def remaining(self) -> float:
-        return float(self._table.remaining[self.idx]) if self.idx >= 0 else 0.0
+        return self._table.remaining[self.idx] if self.idx >= 0 else 0.0
 
     @property
     def rate(self) -> float:
-        return float(self._table.rate[self.idx]) if self.idx >= 0 else 0.0
+        return self._table.rate[self.idx] if self.idx >= 0 else 0.0
 
     @property
     def updated_at(self) -> float:
         """Simulation time up to which ``remaining`` has been settled."""
         if self.idx >= 0:
-            return float(self._table.updated[self.idx])
+            return self._table.updated[self.idx]
         return self.started_at
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -452,32 +503,22 @@ class Flow:
 
 
 class FlowTable:
-    """Slot-addressed structure-of-arrays holding all mutable flow state.
+    """Slot-addressed columns of Python floats holding all mutable flow
+    state (scalar reads and writes skip numpy's boxing).
 
     Slots are recycled through a free list; a freed slot keeps
-    ``finish = inf`` and ``rate = remaining = 0`` so whole-array scans
+    ``finish = inf`` and ``rate = remaining = 0`` so whole-column scans
     (due-completion selection, timer arming) never see garbage.
     """
 
-    __slots__ = (
-        "capacity",
-        "remaining",
-        "rate",
-        "cap",
-        "updated",
-        "finish",
-        "seq",
-        "_free",
-    )
+    __slots__ = ("capacity", "remaining", "rate", "updated", "finish", "_free")
 
     def __init__(self, capacity: int = 64):
         self.capacity = capacity
-        self.remaining = np.zeros(capacity)
-        self.rate = np.zeros(capacity)
-        self.cap = np.zeros(capacity)
-        self.updated = np.zeros(capacity)
-        self.finish = np.full(capacity, np.inf)
-        self.seq = np.zeros(capacity, dtype=np.int64)
+        self.remaining = [0.0] * capacity
+        self.rate = [0.0] * capacity
+        self.updated = [0.0] * capacity
+        self.finish = [math.inf] * capacity
         self._free: List[int] = list(range(capacity - 1, -1, -1))
 
     def alloc(self) -> int:
@@ -487,35 +528,28 @@ class FlowTable:
 
     def _grow(self) -> None:
         old = self.capacity
-        new = old * 2
-        for name in ("remaining", "rate", "cap", "updated", "seq"):
-            arr = getattr(self, name)
-            grown = np.zeros(new, dtype=arr.dtype)
-            grown[:old] = arr
-            setattr(self, name, grown)
-        finish = np.full(new, np.inf)
-        finish[:old] = self.finish
-        self.finish = finish
-        self._free.extend(range(new - 1, old - 1, -1))
-        self.capacity = new
+        for column in (self.remaining, self.rate, self.updated):
+            column.extend([0.0] * old)
+        self.finish.extend([math.inf] * old)
+        self._free.extend(range(2 * old - 1, old - 1, -1))
+        self.capacity = 2 * old
 
 
 class Fabric:
     """The flow-level fabric: link registry, batched admissions,
-    component-local re-rating and vector completions.
+    component-local re-rating and one completion timer.
 
     See the module docstring for the batching contract.  ``rerate_calls``
     counts water-filling *groups*: an admission wave is one group however
     many flows it admitted.
     """
 
-    #: At or below this many flows per re-rate or per completion wave,
-    #: scalar code on flow objects beats numpy dispatch overhead.  Both
-    #: paths are bit-identical, so this is purely a performance constant
-    #: (small components dominate governed/DVFS-heavy runs; the re-rate
+    #: At or below this many flows per re-rate, the scalar fillers on
+    #: flow objects beat :func:`waterfill`'s numpy dispatch overhead.
+    #: Both fillers are bit-identical, so this is purely a performance
+    #: constant (small components dominate governed/DVFS-heavy runs; the
     #: split was profiled on governed alltoall cells in DESIGN.md §13 —
-    #: the value sits on the measured plateau — and the completion
-    #: crossover, ≈48 due flows, in DESIGN.md §12).
+    #: the value sits on the measured plateau).
     SMALL_BATCH = 64
 
     def __init__(self, env: Environment, spec: NetworkSpec):
@@ -550,8 +584,8 @@ class Fabric:
         self._slot_flow: List[Optional[Flow]] = [None] * self._table.capacity
         self._link_ids: Dict[Link, int] = {}
         self._link_list: List[Link] = []
-        self._link_bytes_arr = np.zeros(64)
-        self._caps = np.ones(64)
+        #: Delivered bytes per link, indexed by link id.
+        self._link_bytes: List[float] = []
         self._pending: List[Flow] = []
         self._flush_timer = None
         #: Path → link-id tuple; collectives re-send the same few hundred
@@ -571,16 +605,9 @@ class Fabric:
         self._links[name] = link
         self._flows_on[link] = {}
         self.link_flows[name] = 0
-        i = len(self._link_list)
-        if i >= self._link_bytes_arr.shape[0]:
-            grown = np.zeros(self._link_bytes_arr.shape[0] * 2)
-            grown[:i] = self._link_bytes_arr
-            self._link_bytes_arr = grown
-            caps = np.ones(self._caps.shape[0] * 2)
-            caps[:i] = self._caps
-            self._caps = caps
-        self._link_ids[link] = i
+        self._link_ids[link] = len(self._link_list)
         self._link_list.append(link)
+        self._link_bytes.append(0.0)
         return link
 
     def link(self, name: str) -> Link:
@@ -596,10 +623,9 @@ class Fabric:
     def link_bytes(self) -> Dict[str, float]:
         """Per-link delivered bytes (settled with ``bytes_delivered``)."""
         self._flush()
-        counters = self._link_bytes_arr
         return {
-            link.name: float(counters[i])
-            for i, link in enumerate(self._link_list)
+            link.name: delivered
+            for link, delivered in zip(self._link_list, self._link_bytes)
         }
 
     # -- admission -----------------------------------------------------------
@@ -643,8 +669,6 @@ class Fabric:
             now, slot, table,
         )
         table.remaining[slot] = nbytes
-        table.cap[slot] = cpu_cap
-        table.seq[slot] = seq
         table.updated[slot] = now
         slot_flow[slot] = flow
         self._flows[flow] = None
@@ -818,21 +842,44 @@ class Fabric:
         self._arm_timer()
 
     def _apply_small(self, component: List[Flow], now: float) -> None:
-        """Scalar path for small components: the canonical folds without
-        numpy dispatch.  A component whose flows all cross the same links
-        is solved in closed form (:func:`single_path_rates`); any other
-        runs :func:`maxmin_rates`."""
-        rems = self._settle_small(component, now)
+        """Scalar filler for small components: the canonical folds
+        without numpy dispatch.  Flows are grouped by path; one path is
+        solved by :func:`single_path_rates`, link-disjoint paths by
+        :func:`disjoint_path_rates` while no cap can bind, and anything
+        else by :func:`maxmin_rates`."""
+        rems = self._settle(component, now)
         spec = self.spec
-        path = component[0].link_ids
-        if all(flow.link_ids == path for flow in component):
+        by_path: Dict[Tuple[int, ...], List[Flow]] = {}
+        path_links = 0
+        for flow in component:
+            members = by_path.get(flow.link_ids)
+            if members is None:
+                by_path[flow.link_ids] = [flow]
+                path_links += len(flow.link_ids)
+            else:
+                members.append(flow)
+        rates = None
+        if len(by_path) == 1:
             rates = single_path_rates(
                 [flow.cap for flow in component],
                 [link.capacity for link in component[0].links],
                 spec.flow_congestion,
                 spec.flow_congestion_saturation,
             )
-        else:
+        elif path_links == len(set().union(*by_path)):
+            levels = disjoint_path_rates(
+                [
+                    ([link.capacity for link in members[0].links], len(members))
+                    for members in by_path.values()
+                ],
+                min(flow.cap for flow in component),
+                spec.flow_congestion,
+                spec.flow_congestion_saturation,
+            )
+            if levels is not None:
+                level_of = dict(zip(by_path, levels))
+                rates = [level_of[flow.link_ids] for flow in component]
+        if rates is None:
             capacities: Dict[Link, float] = {}
             for flow in component:
                 for link in flow.links:
@@ -845,37 +892,71 @@ class Fabric:
                 spec.flow_congestion_saturation,
             )
             rates = [by_flow[flow] for flow in component]
+        self._predict(component, rates, rems, now)
+
+    def _apply_batch(
+        self, groups: List[List[Flow]], total: int, now: float
+    ) -> None:
+        """Array filler for large batches: settle as :meth:`_apply_small`
+        does, then one :func:`waterfill` over the batch's incidence."""
+        flat = [f for g in groups for f in g]
+        rems = self._settle(flat, now)
+        seg = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
+        rep_flow = np.repeat(np.arange(total), [len(f.link_ids) for f in flat])
+        rep_link = np.array([li for f in flat for li in f.link_ids], dtype=np.int64)
+        # Every registered link's capacity: fabrics hold at most a few
+        # hundred links, so a straight attribute sweep beats finding the
+        # touched subset.
+        link_list = self._link_list
+        rates = waterfill(
+            len(link_list),
+            np.array([link.capacity for link in link_list], dtype=float),
+            np.array([f.cap for f in flat], dtype=float),
+            seg,
+            len(groups),
+            rep_flow,
+            rep_link,
+            self.spec.flow_congestion,
+            self.spec.flow_congestion_saturation,
+        )
+        self._predict(flat, rates.tolist(), rems, now)
+
+    def _predict(
+        self, flows: List[Flow], rates: List[float], rems: List[float], now: float
+    ) -> None:
+        """Store fresh rates and predict finish times; a zero-rated flow
+        parks in the stalled set."""
         table = self._table
-        rate_arr = table.rate
+        rate_col = table.rate
         finish = table.finish
         stalled = self._stalled
-        for flow, rate, rem in zip(component, rates, rems):
+        for flow, rate, rem in zip(flows, rates, rems):
             i = flow.idx
-            rate_arr[i] = rate
+            rate_col[i] = rate
             if rate > 0.0:
                 if stalled:
                     stalled.pop(flow, None)
                 finish[i] = now + rem / rate
             else:
-                finish[i] = np.inf
+                finish[i] = math.inf
                 stalled[flow] = None
 
-    def _settle_small(self, flows: List[Flow], now: float) -> List[float]:
-        """Scalar lazy settle with the folds of :meth:`_settle_batch`:
-        drain bytes at the pre-change rates in ``flows`` order.  Returns
-        the flows' settled remaining bytes."""
+    def _settle(self, flows: List[Flow], now: float) -> List[float]:
+        """Lazy settle: drain bytes at the pre-change rates, folding the
+        byte counters in ``flows`` order.  Returns the flows' settled
+        remaining bytes."""
         table = self._table
         remaining = table.remaining
-        rate_arr = table.rate
+        rate_col = table.rate
         updated = table.updated
-        link_bytes = self._link_bytes_arr
+        link_bytes = self._link_bytes
         delivered = self.bytes_delivered
         rems: List[float] = []
         for flow in flows:
             i = flow.idx
-            dt = now - updated.item(i)
-            rate = rate_arr.item(i)
-            rem = remaining.item(i)
+            dt = now - updated[i]
+            rate = rate_col[i]
+            rem = remaining[i]
             if dt > 0.0 and rate > 0.0:
                 moved = rate * dt
                 if moved > rem:
@@ -891,89 +972,11 @@ class Fabric:
         self.bytes_delivered = delivered
         return rems
 
-    def _apply_batch(
-        self, groups: List[List[Flow]], total: int, now: float
-    ) -> None:
-        table = self._table
-        flat = [f for g in groups for f in g]
-        idx = np.fromiter((f.idx for f in flat), dtype=np.int64, count=total)
-        seg = np.repeat(
-            np.arange(len(groups)),
-            np.fromiter((len(g) for g in groups), dtype=np.int64, count=len(groups)),
-        )
-        lens = np.fromiter(
-            (len(f.link_ids) for f in flat), dtype=np.int64, count=total
-        )
-        rep_flow = np.repeat(np.arange(total), lens)
-        rep_link = np.fromiter(
-            (li for f in flat for li in f.link_ids),
-            dtype=np.int64,
-            count=int(lens.sum()),
-        )
-        self._settle_batch(idx, rep_flow, rep_link, now)
-        # Refresh every registered link's capacity: fabrics hold at most a
-        # few hundred links, so a straight attribute sweep beats sorting
-        # the incidence column (np.unique) to find the touched subset.
-        caps = self._caps
-        link_list = self._link_list
-        for li, link in enumerate(link_list):
-            caps[li] = link.capacity
-        rates = waterfill(
-            len(link_list),
-            caps[: len(link_list)],
-            table.cap[idx],
-            seg,
-            len(groups),
-            rep_flow,
-            rep_link,
-            self.spec.flow_congestion,
-            self.spec.flow_congestion_saturation,
-        )
-        table.rate[idx] = rates
-        positive = rates > 0.0
-        fin = np.full(total, np.inf)
-        rem_new = table.remaining[idx]
-        fin[positive] = now + rem_new[positive] / rates[positive]
-        table.finish[idx] = fin
-        stalled = self._stalled
-        if not positive.all():
-            for k in np.nonzero(~positive)[0].tolist():
-                stalled[flat[k]] = None
-        if stalled:
-            for k in np.nonzero(positive)[0].tolist():
-                stalled.pop(flat[k], None)
-
-    def _settle_batch(
-        self,
-        idx: np.ndarray,
-        rep_flow: np.ndarray,
-        rep_link: np.ndarray,
-        now: float,
-    ) -> None:
-        """Vectorized lazy settle: drain bytes at the pre-change rates,
-        folding byte counters in flow (admission/due) order."""
-        table = self._table
-        old_rate = table.rate[idx]
-        dt = now - table.updated[idx]
-        rem = table.remaining[idx]
-        moved = np.where((dt > 0.0) & (old_rate > 0.0), old_rate * dt, 0.0)
-        moved = np.where(moved > rem, rem, moved)
-        table.remaining[idx] = rem - moved
-        table.updated[idx] = now
-        moving = moved > 0.0
-        if moving.any():
-            for value in moved[moving].tolist():
-                self.bytes_delivered += value
-            sel = moving[rep_flow]
-            np.add.at(
-                self._link_bytes_arr, rep_link[sel], moved[rep_flow[sel]]
-            )
-
     # -- completions ---------------------------------------------------------
     def _arm_timer(self) -> None:
-        """Arm the single wake-up from the finish vector's minimum (free
+        """Arm the single wake-up from the finish column's minimum (free
         and zero-rated slots hold ``inf``, so no purging is needed)."""
-        t_next = float(self._table.finish.min())
+        t_next = min(self._table.finish)
         if t_next == math.inf:
             if self._timer is not None:
                 self._timer.cancel()
@@ -989,35 +992,31 @@ class Fabric:
         self._timer = None
         self._flush()  # admissions queued ahead of this timer at the same t
         now = self.env.now
-        due = np.nonzero(self._table.finish <= now)[0]
-        if due.size == 0:
+        finish = self._table.finish
+        due = [i for i, t in enumerate(finish) if t <= now]
+        if not due:
             self._arm_timer()
             return
-        if due.size <= self.SMALL_BATCH:
-            freed = self._complete_small(due.tolist(), now)
-        else:
-            freed = self._complete_batch(due, now)
+        freed = self._complete(due, now)
         if freed:
             self._rerate_now(freed)
         else:
             self._arm_timer()
 
-    def _complete_small(self, slots: List[int], now: float) -> Dict[Link, None]:
-        """Settle and retire a few due flows with scalar reads: the folds
-        of :meth:`_complete_batch`, all settles before any credit, in
-        ``(finish, seq)`` order.  Returns the links the finished flows
+    def _complete(self, slots: List[int], now: float) -> Dict[Link, None]:
+        """Settle and retire the due flows in ``(finish, seq)`` order, all
+        settles before any credit.  Returns the links the finished flows
         freed."""
         table = self._table
         remaining = table.remaining
-        rate_arr = table.rate
-        updated = table.updated
+        rate_col = table.rate
         finish = table.finish
-        link_bytes = self._link_bytes_arr
+        link_bytes = self._link_bytes
         slot_flow = self._slot_flow
         flows = [slot_flow[s] for s in slots]
         if len(flows) > 1:
-            flows.sort(key=lambda f: (finish.item(f.idx), f.seq))
-        rems = self._settle_small(flows, now)
+            flows.sort(key=lambda f: (finish[f.idx], f.seq))
+        rems = self._settle(flows, now)
         delivered = self.bytes_delivered
         freed: Dict[Link, None] = {}
         stalled = self._stalled
@@ -1031,80 +1030,21 @@ class Fabric:
                     for li in flow.link_ids:
                         link_bytes[li] += rem
                 remaining[i] = 0.0
-                rate_arr[i] = 0.0
-                finish[i] = np.inf
+                rate_col[i] = 0.0
+                finish[i] = math.inf
                 free.append(i)
                 self._retire(flow, now, freed)
             else:
                 # Prediction landed a shade early (float slack): re-predict;
                 # a flow re-rated to zero in between parks with the stalled
                 # set instead of being dropped.
-                rate = rate_arr.item(i)
+                rate = rate_col[i]
                 if rate > 0.0:
                     finish[i] = now + rem / rate
                 else:
-                    finish[i] = np.inf
+                    finish[i] = math.inf
                     stalled[flow] = None
         self.bytes_delivered = delivered
-        return freed
-
-    def _complete_batch(self, due: np.ndarray, now: float) -> Dict[Link, None]:
-        """Settle and retire the due flows as array ops, in
-        ``(finish, seq)`` order.  Returns the links the finished flows
-        freed."""
-        table = self._table
-        finish = table.finish
-        # Process in (finish, seq) order: the canonical completion order.
-        due = due[np.lexsort((table.seq[due], finish[due]))]
-        flows = [self._slot_flow[s] for s in due.tolist()]
-        count = len(flows)
-        lens = np.fromiter(
-            (len(f.link_ids) for f in flows), dtype=np.int64, count=count
-        )
-        rep_flow = np.repeat(np.arange(count), lens)
-        rep_link = np.fromiter(
-            (li for f in flows for li in f.link_ids),
-            dtype=np.int64,
-            count=int(lens.sum()),
-        )
-        self._settle_batch(due, rep_flow, rep_link, now)
-        rem = table.remaining[due]
-        done = rem <= _EPSILON_BYTES
-        freed: Dict[Link, None] = {}
-        stalled = self._stalled
-        if done.any():
-            # Completion credit: the sub-epsilon residual tails.
-            for value in rem[done].tolist():
-                self.bytes_delivered += value
-            done_rep = done[rep_flow]
-            np.add.at(
-                self._link_bytes_arr, rep_link[done_rep], rem[rep_flow[done_rep]]
-            )
-            # Clear the table rows in one array transaction and return
-            # the slots to the free list.
-            done_slots = due[done]
-            table.remaining[done_slots] = 0.0
-            table.rate[done_slots] = 0.0
-            table.finish[done_slots] = np.inf
-            table._free.extend(done_slots.tolist())
-            for k in np.nonzero(done)[0].tolist():
-                self._retire(flows[k], now, freed)
-        live = ~done
-        if live.any():
-            # Prediction landed a shade early (float slack): re-predict;
-            # a flow re-rated to zero in between parks with the stalled
-            # set instead of being dropped.
-            remaining = table.remaining
-            updated = table.updated
-            rate_arr = table.rate
-            for k in np.nonzero(live)[0].tolist():
-                slot = int(due[k])
-                rate = float(rate_arr[slot])
-                if rate > 0.0:
-                    finish[slot] = float(updated[slot]) + float(remaining[slot]) / rate
-                else:
-                    finish[slot] = np.inf
-                    stalled[flows[k]] = None
         return freed
 
     def _retire(self, flow: Flow, now: float, freed: Dict[Link, None]) -> None:

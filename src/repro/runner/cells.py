@@ -288,10 +288,18 @@ def _cell_arbiter(params: Mapping):
     return PowerArbiter(ArbiterConfig.from_dict(params["arbiter"]))
 
 
-def _session_from_params(params: Mapping, capture: "CellCapture"):
+def _session_from_params(params: Mapping, capture: "CellCapture",
+                         default_cluster=None):
+    """The cell's session, on the machine its params describe.
+
+    ``default_cluster`` replaces the paper testbed when the params name
+    no cluster; it is applied after the substrate-cache lookup, whose
+    signature maps an absent cluster to the testbed."""
     from ..sim.session import SimSession
 
     cluster, network, power = _substrate_specs(params)
+    if default_cluster is not None and params.get("cluster") is None:
+        cluster = default_cluster
     return SimSession(
         cluster_spec=cluster,
         network_spec=network,
@@ -435,17 +443,10 @@ def _execute_app(params: Mapping, capture: "CellCapture") -> CellResult:
     from ..apps import APPS, run_app
     from ..apps.base import app_cluster_spec
     from ..collectives.registry import PowerMode
-    from ..sim.session import SimSession
 
     ranks = int(params["ranks"])
-    session = SimSession(
-        cluster_spec=app_cluster_spec(ranks),
-        keep_segments=False,
-        governor=_cell_governor(params),
-        faults=_cell_faults(params),
-        arbiter=_cell_arbiter(params),
-        tracer=capture.tracer,
-        profile=capture.profile,
+    session = _session_from_params(
+        params, capture, default_cluster=app_cluster_spec(ranks)
     )
     app_result = run_app(
         APPS[params["app"]],

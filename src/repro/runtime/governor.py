@@ -161,6 +161,7 @@ class _CoreFsm:
         "call_nbytes",
         "call_t0",
         "freq_dropped",
+        "on_theta",
     )
 
     def __init__(self, core: "Core", socket) -> None:
@@ -184,6 +185,8 @@ class _CoreFsm:
         self.call_t0 = 0.0
         #: Countdown also dropped the frequency (drop_to_fmin).
         self.freq_dropped = False
+        #: The θ-countdown's timer callback (set once by Governor.bind).
+        self.on_theta = None
 
 
 class _SocketFsm:
@@ -253,11 +256,13 @@ class Governor:
         self._timers = CoalescedTimers(self.env)
         cluster = session.cluster
         self._granularity = cluster.spec.node.cpu.throttle_granularity
+        theta_fired = self._theta_fired
         for node in cluster.nodes:
             for socket in node.sockets:
                 self._sockets[socket.socket_id] = _SocketFsm(socket)
                 for core in socket.cores:
-                    self._cores[core.core_id] = _CoreFsm(core, socket)
+                    st = self._cores[core.core_id] = _CoreFsm(core, socket)
+                    st.on_theta = lambda _slot, st=st: theta_fired(st)
 
     def _dvfs_s(self, core: "Core") -> float:
         """Odvfs for this actuation (jittered under an active fault plan)."""
@@ -352,8 +357,7 @@ class Governor:
         else:
             return
         self.timers_armed += 1
-        st.timer = self._timers.call_after(
-            theta, lambda t, ctx=ctx: self._theta_fired(ctx))
+        st.timer = self._timers.call_after(theta, st.on_theta)
 
     def wait_end(self, ctx) -> float:
         """The wait completed; returns the restore penalty in seconds.
@@ -437,9 +441,8 @@ class Governor:
         return delay
 
     # -- internals ----------------------------------------------------------
-    def _theta_fired(self, ctx) -> None:
+    def _theta_fired(self, st: _CoreFsm) -> None:
         """θ of continuous wait elapsed: drop the core."""
-        st = self._cores[ctx.core.core_id]
         st.timer = None
         if not st.waiting or st.dropped:  # pragma: no cover - defensive
             return

@@ -4,6 +4,10 @@
 written as generator functions that ``yield`` events; see
 :mod:`repro.sim.events` for the event types.
 
+Events run in (time, priority, sequence) order: a heap holds the later
+entries, and one FIFO lane per priority the many pushed for ``now``
+(see :meth:`Environment.step`).
+
 Example
 -------
 >>> env = Environment()
@@ -20,12 +24,14 @@ Example
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from heapq import heappop
-from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Deque, Generator, Iterable, List, Optional, Tuple
 
 from .events import (
     _PROCESSED,
     NORMAL,
+    URGENT,
     AllOf,
     AnyOf,
     Event,
@@ -70,8 +76,12 @@ class Environment:
     def __init__(self, initial_time: float = 0.0, tracer: Optional[Tracer] = None):
         #: Current simulation time (written only by the event loop).
         self.now = float(initial_time)
+        #: Entries later than ``now``: (time, priority, sequence, event).
         self._queue: List[Tuple[float, int, int, Event]] = []
         self._eid = 0
+        #: Entries at ``now``, one FIFO lane per priority (see :meth:`step`).
+        self._urgent: Deque[Event] = deque()
+        self._normal: Deque[Event] = deque()
         self._active_process: Optional[Process] = None
         self.tracer: Tracer = NULL_TRACER if tracer is None else tracer
         #: Events popped off the queue so far — the kernel's work metric,
@@ -91,18 +101,24 @@ class Environment:
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none remain."""
         self._purge_cancelled()
+        if self._urgent or self._normal:
+            return self.now
         return self._queue[0][0] if self._queue else Infinity
 
     def _purge_cancelled(self) -> None:
-        """Drop cancelled :class:`Timer` entries from the head of the queue.
+        """Drop cancelled :class:`Timer` entries from the heads of the
+        lanes and of the heap.
 
-        Lazy deletion leaves cancelled timers in the heap; purging them
+        Lazy deletion leaves cancelled timers queued; purging them
         before they are *observed* means a dead timer never advances the
         clock, never counts as a processed event, and — critically for
         ``run(until=T)`` — never extends a bounded run past the horizon
         just to process a no-op (a governor timeout armed behind a wait
         that ended early, a fabric completion estimate that was re-rated).
         """
+        for lane in (self._urgent, self._normal):
+            while lane and lane[0]._cancelled:
+                lane.popleft()
         queue = self._queue
         while queue:
             if queue[0][3]._cancelled:
@@ -137,9 +153,21 @@ class Environment:
 
     # -- scheduling --------------------------------------------------------
     def schedule(self, event: Event, priority: int = NORMAL, delay: float = 0.0) -> None:
-        """Enqueue ``event`` to be processed ``delay`` after the current time."""
-        self._eid += 1
-        heapq.heappush(self._queue, (self.now + delay, priority, self._eid, event))
+        """Enqueue ``event`` to be processed ``delay`` after the current time.
+
+        ``priority`` is :data:`~repro.sim.events.URGENT` or
+        :data:`~repro.sim.events.NORMAL`: each has one lane at ``now``,
+        so any other value would dispatch out of order."""
+        if priority != NORMAL and priority != URGENT:
+            raise ValueError(f"unknown priority {priority!r}")
+        if delay < 0:
+            raise ValueError(f"negative delay {delay}")
+        at = self.now + delay
+        if at == self.now:
+            (self._normal if priority == NORMAL else self._urgent).append(event)
+        else:
+            self._eid += 1
+            heapq.heappush(self._queue, (at, priority, self._eid, event))
 
     def call_after(self, delay: float, callback: Callable[[Timer], None]) -> Timer:
         """Schedule ``callback`` to run ``delay`` from now; returns a
@@ -169,6 +197,16 @@ class Environment:
     def step(self) -> None:
         """Process the single next event; raises :class:`EmptySchedule` if none.
 
+        Events are dispatched in (time, priority, sequence) order.  An
+        event pushed for ``now`` goes to its priority's FIFO lane, not
+        the heap, and the next event is, in this order: a heap entry at
+        ``now`` with URGENT priority, the URGENT lane's head, a heap
+        entry at ``now`` with NORMAL priority, the NORMAL lane's head,
+        and only then the heap's head, which advances the clock.  That
+        is the heap order exactly: every heap entry at ``now`` was pushed
+        before the clock reached ``now``, so its sequence number is
+        below that of every lane entry of its priority.
+
         Cancelled timers met on the way are dropped exactly as
         :meth:`_purge_cancelled` drops them: they neither advance the
         clock nor count as processed events.  Every other event goes
@@ -177,16 +215,34 @@ class Environment:
         is raised once its callbacks have run.
         """
         queue = self._queue
+        urgent = self._urgent
         while True:
-            try:
-                now, _, _, event = heappop(queue)
-            except IndexError:
-                raise EmptySchedule() from None
+            if queue and queue[0][0] == self.now and (
+                queue[0][1] == URGENT or not urgent
+            ):
+                event = heappop(queue)[3]
+                if event._cancelled:
+                    if self._cancelled_pending > 0:
+                        self._cancelled_pending -= 1
+                    continue
+                break
+            if urgent:
+                event = urgent.popleft()
+            elif self._normal:
+                event = self._normal.popleft()
+            else:
+                try:
+                    now, _, _, event = heappop(queue)
+                except IndexError:
+                    raise EmptySchedule() from None
+                if event._cancelled:
+                    if self._cancelled_pending > 0:
+                        self._cancelled_pending -= 1
+                    continue
+                self.now = now
+                break
             if not event._cancelled:
                 break
-            if self._cancelled_pending > 0:
-                self._cancelled_pending -= 1
-        self.now = now
         self.events_processed += 1
         callbacks = event.callbacks
         event.callbacks = None
@@ -235,9 +291,10 @@ class Environment:
         horizon = float(until)
         if horizon < self.now:
             raise ValueError(f"until={horizon} lies in the past (now={self.now})")
+        peek = self.peek
         while True:
-            self._purge_cancelled()
-            if not self._queue or self._queue[0][0] > horizon:
+            next_time = peek()
+            if next_time > horizon or next_time == Infinity:
                 break
             step()
         self.now = horizon

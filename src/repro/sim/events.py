@@ -99,12 +99,16 @@ class Event:
         """Trigger the event successfully with ``value``."""
         if self._state != _PENDING:
             raise SimulationError(f"{self!r} already triggered")
+        if priority == NORMAL:
+            lane = self.env._normal
+        elif priority == URGENT:
+            lane = self.env._urgent
+        else:
+            raise ValueError(f"unknown priority {priority!r}")
         self._ok = True
         self._value = value
         self._state = _TRIGGERED
-        env = self.env
-        env._eid = eid = env._eid + 1
-        heappush(env._queue, (env.now, priority, eid, self))
+        lane.append(self)
         return self
 
     def fail(self, exception: BaseException, priority: int = NORMAL) -> "Event":
@@ -118,12 +122,16 @@ class Event:
             raise SimulationError(f"{self!r} already triggered")
         if not isinstance(exception, BaseException):
             raise TypeError("fail() requires an exception instance")
+        if priority == NORMAL:
+            lane = self.env._normal
+        elif priority == URGENT:
+            lane = self.env._urgent
+        else:
+            raise ValueError(f"unknown priority {priority!r}")
         self._ok = False
         self._value = exception
         self._state = _TRIGGERED
-        env = self.env
-        env._eid = eid = env._eid + 1
-        heappush(env._queue, (env.now, priority, eid, self))
+        lane.append(self)
         return self
 
     def defuse(self) -> None:
@@ -150,8 +158,12 @@ class Timeout(Event):
         self._state = _TRIGGERED
         self._defused = False
         self.delay = delay
-        env._eid = eid = env._eid + 1
-        heappush(env._queue, (env.now + delay, NORMAL, eid, self))
+        at = env.now + delay
+        if at == env.now:
+            env._normal.append(self)
+        else:
+            env._eid = eid = env._eid + 1
+            heappush(env._queue, (at, NORMAL, eid, self))
 
 
 class Timer(Event):
@@ -159,7 +171,7 @@ class Timer(Event):
 
     Unlike :class:`Timeout`, a Timer carries its own callback — the first
     entry of its ``callbacks``, so the engine dispatches it like any other
-    event — and can be *cancelled* before it fires: the heap entry stays
+    event — and can be *cancelled* before it fires: its queue entry stays
     where it is (lazy deletion — no O(n) queue surgery) and the engine
     skips it unprocessed.  This replaces generation-counter tricks where
     consumers had to detect their own stale wakeups by hand.
@@ -169,7 +181,7 @@ class Timer(Event):
     Timer never fires its waiters).
     """
 
-    __slots__ = ("at", "_cancelled")
+    __slots__ = ("at", "_cancelled", "_in_lane")
 
     def __init__(
         self,
@@ -195,8 +207,13 @@ class Timer(Event):
             at = env.now + delay
         #: Absolute firing time (for introspection and staleness checks).
         self.at = at
-        env._eid = eid = env._eid + 1
-        heappush(env._queue, (at, NORMAL, eid, self))
+        if at == env.now:
+            self._in_lane = True
+            env._normal.append(self)
+        else:
+            self._in_lane = False
+            env._eid = eid = env._eid + 1
+            heappush(env._queue, (at, NORMAL, eid, self))
 
     @property
     def cancelled(self) -> bool:
@@ -213,8 +230,9 @@ class Timer(Event):
         if self._cancelled or self._state == _PROCESSED:
             return
         self._cancelled = True
-        self.callbacks = []  # release the callback; the heap entry is skipped
-        self.env._note_timer_cancelled()
+        self.callbacks = []  # release the callback; the queue entry is skipped
+        if not self._in_lane:
+            self.env._note_timer_cancelled()
 
 
 class Initialize(Event):
@@ -229,8 +247,7 @@ class Initialize(Event):
         self._ok = True
         self._state = _TRIGGERED
         self._defused = False
-        env._eid = eid = env._eid + 1
-        heappush(env._queue, (env.now, URGENT, eid, self))
+        env._urgent.append(self)
 
 
 class Process(Event):

@@ -1,9 +1,9 @@
 """The small re-rate fast paths, each held to what it replaces: the
-closed-form single-path solve against ``maxmin_rates``, write-through
-link capacities against a read-time computation of their inputs, and
-the cached routes against the topology.  The scalar small-completion
-path is held to the batch one by the whole-run filler differential in
-``test_fabric_vectorized.py``."""
+closed-form single-path and disjoint-group solves against
+``maxmin_rates``, write-through link capacities against a read-time
+computation of their inputs, and the cached routes against the
+topology.  The scalar filler is held to ``waterfill`` by the whole-run
+filler differential in ``test_fabric_vectorized.py``."""
 
 import gc
 import math
@@ -16,9 +16,15 @@ from hypothesis import strategies as st
 from repro.cluster import Cluster, ClusterSpec
 from repro.mpi import MpiJob, ProgressMode
 from repro.network import IBNetwork, NetworkSpec
-from repro.network.fabric import Link, maxmin_rates, single_path_rates
+from repro.network.fabric import (
+    Fabric,
+    Link,
+    disjoint_path_rates,
+    maxmin_rates,
+    single_path_rates,
+)
 from repro.sim import Environment, SimSession
-from tests.oracles.scalar_fabric import Flow
+from tests.oracles.scalar_fabric import Flow, ScalarFabric
 
 
 class _Ev:
@@ -73,6 +79,144 @@ def test_single_path_cap_rounds_then_share():
     what is left: 12 - 2·1 - 2 = 8 over the last two flows."""
     caps = [5.0, 1.0, 2.0, 1.0, math.inf]
     assert single_path_rates(caps, [12.0, 20.0]) == [4.0, 1.0, 2.0, 1.0, 4.0]
+
+
+# ------------------------------------ closed-form link-disjoint groups
+#: A group's share relative to the first group's: equal, within the
+#: tight-link tolerance (1e-12 relative), just outside it, far apart.
+_SHARE_FACTORS = (1.0, 1.0 + 1e-13, 1.0 + 8e-13, 1.0 + 3e-12, 1.5, 40.0)
+
+
+def _penalty(congestion, saturation, n):
+    return 1.0 + congestion * min(n - 1, saturation) if congestion > 0.0 else 1.0
+
+
+def _group_share(capacities, n, congestion, saturation):
+    residual = min(capacities)
+    if congestion > 0.0:
+        residual = residual / _penalty(congestion, saturation, n)
+    return residual / n
+
+
+@st.composite
+def disjoint_group_problems(draw):
+    """2-6 single-path groups sharing no link, of 1-3 links and 1-4
+    flows each, whose shares are equal, within the tight tolerance of
+    each other or far apart (or zero, ~1e-300 or infinite), with caps
+    above every share or below one."""
+    congestion = draw(st.sampled_from([0.0, 0.05, 0.3]))
+    saturation = draw(st.sampled_from([1, 7]))
+    base = draw(st.floats(min_value=0.1, max_value=100.0))
+    groups = []
+    for g in range(draw(st.integers(min_value=2, max_value=6))):
+        n = draw(st.integers(min_value=1, max_value=4))
+        special = draw(st.sampled_from([None, None, None, 0.0, 1e-300, math.inf]))
+        if special is None:
+            target = base * draw(st.sampled_from(_SHARE_FACTORS))
+            tight = target * n * _penalty(congestion, saturation, n)
+        else:
+            tight = special
+        others = draw(
+            st.lists(st.sampled_from([1.0, 1.0 + 1e-13, 2.0, math.inf]), max_size=2)
+        )
+        capacities = [tight] + [
+            tight * factor if tight > 0.0 else factor for factor in others
+        ]
+        capacities = draw(st.permutations(capacities))
+        groups.append((capacities, n))
+    shares = [_group_share(c, n, congestion, saturation) for c, n in groups]
+    top = max(shares)
+    cap = st.one_of(
+        st.just(math.inf),
+        st.just(top),
+        st.just(top * 2.0) if top < math.inf else st.just(math.inf),
+        st.floats(min_value=0.01, max_value=200.0),
+    )
+    caps = [[draw(cap) for _ in range(n)] for _, n in groups]
+    return groups, caps, congestion, saturation
+
+
+@given(disjoint_group_problems())
+@settings(max_examples=500)
+def test_disjoint_groups_closed_form_matches_maxmin_exactly(problem):
+    groups, caps, congestion, saturation = problem
+    flows, capacities, paths = [], {}, []
+    for g, ((link_caps, n), group_caps) in enumerate(zip(groups, caps)):
+        links = tuple(Link(f"g{g}l{i}", 1.0) for i in range(len(link_caps)))
+        capacities.update(zip(links, link_caps))
+        flows += [(g, Flow(links, 1.0, c, _Ev())) for c in group_caps]
+        paths.append((link_caps, n))
+    # Interleave the groups, as admission order does.
+    flows.sort(key=lambda item: (item[1].cap, item[0]))
+    expected = maxmin_rates([f for _, f in flows], capacities, congestion, saturation)
+    min_cap = min(c for group_caps in caps for c in group_caps)
+    got = disjoint_path_rates(paths, min_cap, congestion, saturation)
+    shares = [_group_share(c, n, congestion, saturation) for c, n in paths]
+    if min_cap < max(shares):
+        assert got is None  # a cap may bind: maxmin_rates solves it
+        return
+    # Bit-identical, not approximately equal.
+    assert [got[g].hex() for g, _ in flows] == [expected[f].hex() for _, f in flows]
+
+
+def test_disjoint_groups_within_tolerance_freeze_together():
+    """Two groups whose shares differ by less than the tight tolerance
+    both freeze at the lower share, as one ``maxmin_rates`` round does;
+    a group far above freezes at its own share."""
+    low = 3.0
+    near = low * (1.0 + 1e-13)
+    assert disjoint_path_rates([([low], 1), ([near], 1), ([9.0], 1)], math.inf) == [
+        low, low, 9.0
+    ]
+    assert disjoint_path_rates([([low], 1), ([9.0], 1)], 4.0) is None
+
+
+def _union_run(kernel, groups, congestion):
+    """Admit link-disjoint single-path groups, then change every link's
+    capacity at once so one re-rate solves their union."""
+    env = Environment()
+    fabric = kernel(env, NetworkSpec(flow_congestion=congestion))
+    done = {}
+    paths = []
+    for g, (link_caps, n) in enumerate(groups):
+        path = [fabric.add_link(f"g{g}l{i}", c) for i, c in enumerate(link_caps)]
+        paths.append(path)
+        for k in range(n):
+            label = f"g{g}f{k}"
+            event = fabric.transfer(path, 10.0 + k, label=label)
+            event.callbacks.append(lambda ev, label=label: done.__setitem__(label, ev.value))
+
+    def slow_down(_timer):
+        for path in paths:
+            for link in path:
+                link.fault_factor = 0.5
+        fabric.capacities_changed([link for path in paths for link in path])
+
+    env.call_after(0.5, slow_down)
+    env.run()
+    return done, fabric.bytes_delivered
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.lists(st.sampled_from([4.0, 4.0 * (1 + 1e-13), 6.0, 9.0]),
+                     min_size=1, max_size=3),
+            st.integers(min_value=1, max_value=3),
+        ),
+        min_size=2, max_size=5,
+    ),
+    st.sampled_from([0.0, 0.05]),
+)
+@settings(max_examples=60, deadline=None)
+def test_fabric_union_rerate_matches_the_oracle(groups, congestion):
+    """A capacity change seeding every link re-rates the union of the
+    groups in one closed-form solve; per-flow completion times stay
+    bit-identical to the scalar oracle's one water-fill per event."""
+    expected, expected_bytes = _union_run(ScalarFabric, groups, congestion)
+    got, got_bytes = _union_run(Fabric, groups, congestion)
+    assert got == expected
+    assert got_bytes == pytest.approx(expected_bytes, rel=1e-12)
 
 
 # ------------------------------------------------ write-through capacities

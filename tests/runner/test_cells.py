@@ -106,6 +106,26 @@ def test_contradicting_substrate_params_fail_with_the_session_message():
     assert str(excinfo.value) == "inconsistent session specs:\n  - " + problem
 
 
+def _app_cell(**overrides):
+    params = {"app": "nas-is", "ranks": 32, "mode": "none"}
+    params.update(overrides)
+    return SweepCell("test", "app", params)
+
+
+def test_app_cell_runs_on_the_machine_its_params_describe():
+    """An app cell's network and cluster params reach its session: a
+    slow NIC slows the app down, and a cluster too small for the ranks
+    is refused before anything is simulated."""
+    from repro.cluster import ClusterSpec
+    from repro.network import NetworkSpec
+
+    plain = execute_cell(_app_cell())
+    slow = execute_cell(_app_cell(network=NetworkSpec(nic_bw=1e8).to_dict()))
+    assert slow.duration_s > plain.duration_s
+    with pytest.raises(ValueError, match="32 ranks starting at node 0 exceed 16 cores"):
+        execute_cell(_app_cell(cluster=ClusterSpec(nodes=2).to_dict()))
+
+
 def test_execute_cell_with_faults_is_deterministic():
     """The fault plan's seed lives inside the spec, so perturbed cells
     are exactly as reproducible as quiet ones."""
