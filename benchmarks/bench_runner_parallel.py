@@ -10,9 +10,6 @@ sweep (the 12-cell fig7a alltoall power sweep):
   skipped on smaller machines, where the runner clamps the job count
   and executes inline rather than paying pool overhead for a guaranteed
   slowdown).
-* each worker rebuilds the frozen (cluster, network, power) substrate at
-  most once per unique spec signature — asserted from the substrate
-  telemetry.
 * a warm cache turns a re-run into pure JSON reads — asserted to cost
   under 10% of the cold run unconditionally.
 
@@ -32,7 +29,6 @@ from repro.runner import (
     ResultCache,
     SweepStats,
     clear_memo,
-    clear_substrate_cache,
     run_cells,
     shutdown_pool,
 )
@@ -48,20 +44,6 @@ def _sim_dicts(results):
     return dicts
 
 
-def _unique_signatures(cells):
-    return len({
-        json.dumps(
-            {
-                "cluster": c.params.get("cluster"),
-                "network": c.params.get("network"),
-                "power": c.params.get("power"),
-            },
-            sort_keys=True,
-        )
-        for c in cells
-    })
-
-
 def run_runner_benchmark():
     cells = CELL_PLANS["fig7a"]().cells
     shutdown_pool()  # measure pool start-up inside the cold-parallel run
@@ -69,7 +51,6 @@ def run_runner_benchmark():
         cache = ResultCache(os.path.join(tmp, "cache"))
 
         clear_memo()
-        clear_substrate_cache()
         t0 = time.perf_counter()
         inline = run_cells(cells, jobs=1, cache=cache)
         cold_s = time.perf_counter() - t0
@@ -85,8 +66,8 @@ def run_runner_benchmark():
         parallel = run_cells(cells, jobs=JOBS, cache=None, stats=cold_stats)
         parallel_s = time.perf_counter() - t0
 
-        # Second parallel sweep reuses the now-warm pool (and each
-        # worker's substrate cache) — the steady-state campaign cost.
+        # Second parallel sweep reuses the now-warm pool — the
+        # steady-state campaign cost.
         clear_memo()
         warm_pool_stats = SweepStats()
         t0 = time.perf_counter()
@@ -98,7 +79,6 @@ def run_runner_benchmark():
     return {
         "sweep": "fig7a",
         "cells": len(cells),
-        "unique_spec_signatures": _unique_signatures(cells),
         "jobs": JOBS,
         "jobs_effective": cold_stats.jobs_effective,
         "jobs_clamped": cold_stats.jobs_clamped,
@@ -112,12 +92,6 @@ def run_runner_benchmark():
         "warm_fraction_of_cold": round(warm_s / max(cold_s, 1e-9), 4),
         "workers_used": cold_stats.workers_used,
         "worker_reuse_batches": warm_pool_stats.worker_reuse,
-        "substrate_misses_cold": cold_stats.substrate_misses,
-        "substrate_misses_warm_pool": warm_pool_stats.substrate_misses,
-        "substrate_rebuild_s": round(
-            cold_stats.substrate_rebuild_s
-            + warm_pool_stats.substrate_rebuild_s, 4,
-        ),
         "parallel_identical": _sim_dicts(parallel) == _sim_dicts(inline),
         "warm_pool_identical": _sim_dicts(parallel2) == _sim_dicts(inline),
         "warm_identical": _sim_dicts(warm) == _sim_dicts(inline),
@@ -149,12 +123,6 @@ def test_runner_parallel_and_cache(capsys):
     # Warm cache replaces simulation with JSON reads: unconditionally
     # under 10% of the cold run (the ISSUE acceptance threshold).
     assert report["warm_fraction_of_cold"] < 0.10
-    # Substrate rebuilds: at most one per unique spec signature per
-    # worker (inline counts as one worker).
-    workers = max(1, report["workers_used"])
-    budget = report["unique_spec_signatures"] * workers
-    assert report["substrate_misses_cold"] <= budget
-    assert report["substrate_misses_warm_pool"] <= budget
     # The 0.8*N speedup gate needs physical cores; a clamped run has
     # nothing to gate (the clamp is itself the fix for the old
     # jobs-4-on-1-cpu slowdown).

@@ -9,6 +9,8 @@ from __future__ import annotations
 import os
 from typing import Iterable, List, Sequence
 
+from ..runner import cell_wall_summary
+
 
 def format_value(value) -> str:
     if isinstance(value, float):
@@ -66,14 +68,6 @@ def bytes_label(n: int) -> str:
     return str(n)
 
 
-def _percentile(sorted_values: Sequence[float], q: float) -> float:
-    """Nearest-rank percentile of an already-sorted sample."""
-    if not sorted_values:
-        return 0.0
-    idx = min(len(sorted_values) - 1, max(0, round(q * (len(sorted_values) - 1))))
-    return sorted_values[idx]
-
-
 def render_sweep_report(stats: dict) -> str:
     """Render the last sweep's runner accounting (``repro bench-report``).
 
@@ -110,15 +104,6 @@ def render_sweep_report(stats: dict) -> str:
             )
     if stats.get("cache_dir"):
         summary_rows.append(("cache dir", stats["cache_dir"]))
-    if stats.get("substrate_hits", 0) or stats.get("substrate_misses", 0):
-        summary_rows.append(
-            ("substrate cache h/m",
-             f"{stats.get('substrate_hits', 0)}"
-             f"/{stats.get('substrate_misses', 0)}")
-        )
-        summary_rows.append(
-            ("substrate rebuild (s)", stats.get("substrate_rebuild_s", 0.0))
-        )
     if stats.get("batches"):
         summary_rows.append(("worker batches", stats["batches"]))
         summary_rows.append(("warm-worker batches", stats.get("worker_reuse", 0)))
@@ -132,18 +117,10 @@ def render_sweep_report(stats: dict) -> str:
     lines.append(format_table(["metric", "value"], summary_rows))
     timings = [(label, float(t)) for label, t in stats.get("timings", [])]
     if timings:
-        walls = sorted(t for _label, t in timings)
+        summary = cell_wall_summary(t for _label, t in timings)
         lines.append("")
         lines.append(
-            format_table(
-                ["cell timings", "value (s)"],
-                [
-                    ("p50", _percentile(walls, 0.50)),
-                    ("p95", _percentile(walls, 0.95)),
-                    ("max", walls[-1]),
-                    ("total", sum(walls)),
-                ],
-            )
+            format_table(["cell timings", "value (s)"], summary.items())
         )
         slowest = sorted(timings, key=lambda lt: lt[1], reverse=True)[:5]
         lines.append("")

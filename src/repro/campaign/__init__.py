@@ -1,4 +1,4 @@
-"""Declarative sweep campaigns: specs, resume, sharded drivers, artifacts.
+"""Declarative sweep campaigns: specs, resume, artifacts.
 
 The paper's results are grids, not runs — Table I/II and Figs 2/6–10
 are products over {collective, message size, node count, power policy}.
@@ -8,12 +8,9 @@ campaign engine for exactly that shape:
 * :mod:`repro.campaign.spec` — :class:`CampaignSpec`, loadable from
   YAML/JSON/dict, deterministically expanded to a deduplicated cell set.
 * :mod:`repro.campaign.executor` — :func:`run_campaign`: cache probe
-  first, execute only misses, ``campaign.json`` manifest for status and
-  restartability.
-* :mod:`repro.campaign.drivers` — pluggable execution backends:
-  :class:`LocalPoolDriver` (warm worker pool) and
-  :class:`SubprocessShardDriver` (N independent processes coordinating
-  through the shared content-addressed store).
+  first, execute only misses through :func:`repro.runner.run_cells`
+  (warm-worker pool, memo, store), ``campaign.json`` manifest for
+  status and restartability.
 * :mod:`repro.campaign.artifacts` — completed campaigns render the
   paper's named outputs (JSON + txt) through the existing bench
   export/report paths.
@@ -22,7 +19,6 @@ CLI: ``python -m repro campaign run|status|report SPEC``.
 """
 
 from .artifacts import render_artifacts
-from .drivers import CampaignDriver, LocalPoolDriver, SubprocessShardDriver
 from .executor import CampaignResult, default_campaign_dir, run_campaign
 from .manifest import MANIFEST_SCHEMA, CampaignManifest, CellEntry
 from .spec import (
@@ -36,7 +32,6 @@ from .spec import (
 )
 
 __all__ = [
-    "CampaignDriver",
     "CampaignGrid",
     "CampaignManifest",
     "CampaignPlan",
@@ -44,9 +39,7 @@ __all__ = [
     "CampaignSpec",
     "CampaignSpecError",
     "CellEntry",
-    "LocalPoolDriver",
     "MANIFEST_SCHEMA",
-    "SubprocessShardDriver",
     "default_campaign_dir",
     "expand",
     "load_campaign",

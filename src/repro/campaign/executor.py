@@ -11,15 +11,18 @@ resume-from-anywhere semantics:
    *record* of this decision, never its input, so a manifest that
    disagrees with the store (entries evicted by ``repro cache gc``,
    a manifest copied from another machine) merely re-pends those cells.
-3. **Execute** the misses in waves through the configured driver
-   (:mod:`.drivers`), flushing the manifest after every wave so an
-   interrupt loses at most one wave of bookkeeping (the results
-   themselves are already in the store).
+3. **Execute** the misses in waves of at least :data:`MIN_WAVE` cells
+   through :func:`~repro.runner.run_cells` (warm-worker pool, memo,
+   store), flushing the manifest after every wave so an interrupt
+   loses at most one wave of bookkeeping (the results themselves are
+   already in the store).  If ``run_cells`` raises, the wave's cells
+   run inline one by one, so one poisoned cell becomes one ``failed``
+   manifest entry instead of a dead campaign.
 4. **Render artifacts** (:mod:`.artifacts`) once every needed cell is
    done.
 
 Campaign-level accounting (probe hits, executions, failures, p50/p95
-cell wall time, per-shard stats) lands in ``telemetry.json`` next to
+cell wall time, salvage errors) lands in ``telemetry.json`` next to
 the manifest, and in ``results/last_sweep.json`` so ``repro
 bench-report`` covers campaigns with zero new plumbing.
 """
@@ -30,27 +33,55 @@ import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..runner import ResultCache, SweepStats, resolve_jobs
+from ..runner import (
+    CellResult,
+    ResultCache,
+    SweepCell,
+    SweepStats,
+    cell_wall_summary,
+    execute_cell,
+    resolve_jobs,
+    run_cells,
+)
 from .artifacts import render_artifacts
-from .drivers import CampaignDriver, LocalPoolDriver
 from .manifest import CampaignManifest
 from .spec import CampaignPlan, CampaignSpec, expand, spec_digest
 
 __all__ = ["CampaignResult", "default_campaign_dir", "run_campaign"]
+
+#: Fewest pending cells per execution wave (a wave is ``jobs * 8``
+#: cells when that is more); the manifest is flushed after each wave.
+MIN_WAVE = 32
+
+#: One executed cell: (key, result-or-None, error-or-None).  Exactly
+#: one of result/error is set.
+CellOutcome = Tuple[str, Optional[CellResult], Optional[str]]
 
 
 def default_campaign_dir(spec: CampaignSpec) -> Path:
     return Path("results") / "campaigns" / spec.name
 
 
-def _percentile(sorted_values: List[float], q: float) -> float:
-    if not sorted_values:
-        return 0.0
-    idx = min(len(sorted_values) - 1,
-              max(0, round(q * (len(sorted_values) - 1))))
-    return sorted_values[idx]
+def _salvage(
+    cells: Sequence[SweepCell],
+    keys: Sequence[str],
+    cache: ResultCache,
+) -> List[CellOutcome]:
+    """Per-cell inline execution with per-cell error capture — the
+    slow path that turns one poisoned cell into one ``failed``
+    manifest entry instead of a dead campaign."""
+    out: List[CellOutcome] = []
+    for key, cell in zip(keys, cells):
+        try:
+            result = execute_cell(cell)
+        except Exception as exc:  # noqa: BLE001 - recorded, not hidden
+            out.append((key, None, f"{type(exc).__name__}: {exc}"))
+            continue
+        cache.put(key, cell, result)
+        out.append((key, result, None))
+    return out
 
 
 @dataclass
@@ -78,7 +109,6 @@ def run_campaign(
     campaign_dir: Optional[Path] = None,
     cache: Optional[ResultCache] = None,
     jobs: Optional[int] = None,
-    driver: Optional[CampaignDriver] = None,
     refresh: bool = False,
     artifacts: bool = True,
     progress: Optional[Callable[[str], None]] = None,
@@ -94,7 +124,6 @@ def run_campaign(
     """
     say = progress or (lambda _msg: None)
     t0 = time.perf_counter()
-    driver = driver or LocalPoolDriver()
     jobs = resolve_jobs(jobs if jobs is not None else spec.jobs)
     if cache is None:
         cache = ResultCache(Path(spec.cache_dir) if spec.cache_dir else None)
@@ -133,7 +162,7 @@ def run_campaign(
     say(
         f"campaign[{spec.name}]: {len(plan)} cells "
         f"({plan.duplicates} duplicates folded), {probe_hits} already in "
-        f"the store, {len(pending)} to execute via {driver.name} driver"
+        f"the store, {len(pending)} to execute"
     )
 
     # -- execute misses in waves --------------------------------------
@@ -141,7 +170,6 @@ def run_campaign(
     telemetry: Dict[str, Any] = {
         "campaign": spec.name,
         "spec_digest": digest,
-        "driver": driver.name,
         "jobs": jobs,
         "resumed": resumed,
         "cells_total": len(plan),
@@ -151,12 +179,19 @@ def run_campaign(
         "failed": 0,
     }
     failed = 0
-    wave_size = max(driver.min_wave, jobs * 8)
+    wave_size = max(MIN_WAVE, jobs * 8)
     for start in range(0, len(pending), wave_size):
         wave = pending[start:start + wave_size]
         cells = [plan.cells[i] for i in wave]
         keys = [plan.keys[i] for i in wave]
-        outcomes = driver.execute(cells, keys, cache, jobs, stats, telemetry)
+        try:
+            results = run_cells(cells, jobs=jobs, cache=cache, stats=stats)
+            outcomes = [(key, r, None) for key, r in zip(keys, results)]
+        except Exception as exc:  # noqa: BLE001 - fall back to per-cell
+            telemetry.setdefault("salvage_errors", []).append(
+                f"{type(exc).__name__}: {exc}"
+            )
+            outcomes = _salvage(cells, keys, cache)
         for key, result, error in outcomes:
             if result is not None:
                 manifest.mark(key, "done")
@@ -170,13 +205,7 @@ def run_campaign(
 
     telemetry["executed"] = len(pending) - failed
     telemetry["failed"] = failed
-    walls = sorted(t for _label, t in stats.timings)
-    telemetry["cell_wall_s"] = {
-        "p50": _percentile(walls, 0.50),
-        "p95": _percentile(walls, 0.95),
-        "max": walls[-1] if walls else 0.0,
-        "total": sum(walls),
-    }
+    telemetry["cell_wall_s"] = cell_wall_summary(t for _label, t in stats.timings)
     hits_all = probe_hits + stats.cache_hits + stats.memo_hits
     telemetry["hit_rate"] = hits_all / len(plan) if len(plan) else 0.0
 

@@ -31,7 +31,7 @@ The ``experiment`` / ``osu`` / ``app`` commands each build a
 :class:`~repro.bench.SweepPlan` (``experiment`` takes it from
 :data:`~repro.bench.CELL_PLANS`) and run it through
 :func:`~repro.bench.run_plan`.  They accept ``--jobs N`` to
-shard their independent simulation cells across worker processes and
+spread their independent simulation cells across worker processes and
 ``--cache-dir`` / ``--no-cache`` / ``--refresh`` to control the
 content-addressed result cache (see :mod:`repro.runner`).  Parallel
 output is bit-identical to serial output.  The observability flags
@@ -454,15 +454,6 @@ def build_parser() -> argparse.ArgumentParser:
              "$REPRO_CACHE_DIR, or ~/.cache/repro)",
     )
     p_camp_run.add_argument(
-        "--driver", choices=["local", "shards"], default="local",
-        help="execution driver: local warm-worker pool, or N independent "
-             "shard processes coordinating through the shared cache",
-    )
-    p_camp_run.add_argument(
-        "--shards", type=int, default=2, metavar="N",
-        help="shard process count for --driver shards (default 2)",
-    )
-    p_camp_run.add_argument(
         "--refresh", action="store_true",
         help="re-execute every cell, overwriting cached results",
     )
@@ -676,8 +667,6 @@ def cmd_campaign(args, out) -> int:
     from .campaign import (
         CampaignManifest,
         CampaignSpecError,
-        LocalPoolDriver,
-        SubprocessShardDriver,
         default_campaign_dir,
         load_campaign,
         run_campaign,
@@ -700,13 +689,9 @@ def cmd_campaign(args, out) -> int:
             args.jobs if args.jobs is not None else spec.jobs,
             default=os.cpu_count() or 1,
         )
-        driver = (
-            SubprocessShardDriver(shards=args.shards, jobs_per_shard=jobs)
-            if args.driver == "shards" else LocalPoolDriver()
-        )
         result = run_campaign(
             spec, campaign_dir=campaign_dir, cache=cache, jobs=jobs,
-            driver=driver, refresh=args.refresh,
+            refresh=args.refresh,
             artifacts=not args.no_artifacts,
             progress=lambda msg: print(msg, file=sys.stderr),
         )
@@ -725,7 +710,7 @@ def cmd_campaign(args, out) -> int:
             ("elapsed (s)", f"{tele['elapsed_s']:.2f}"),
         ]
         print(
-            format_table([f"campaign {spec.name} [{driver.name}]", "value"], rows),
+            format_table([f"campaign {spec.name}", "value"], rows),
             file=out,
         )
         for record in result.artifacts:
@@ -776,7 +761,6 @@ def cmd_campaign(args, out) -> int:
         )
         return 1
     rows = [
-        ("driver", tele.get("driver", "?")),
         ("jobs", tele.get("jobs", "?")),
         ("resumed", tele.get("resumed", False)),
         ("cells", tele.get("cells_total", 0)),
@@ -792,11 +776,6 @@ def cmd_campaign(args, out) -> int:
             ("cell p50/p95/max (s)",
              f"{wall.get('p50', 0):.3f}/{wall.get('p95', 0):.3f}"
              f"/{wall.get('max', 0):.3f}")
-        )
-    for shard in tele.get("shards", ()):
-        rows.append(
-            (f"shard {shard.get('shard')}",
-             f"{shard.get('cells', 0)} cells, rc={shard.get('returncode')}")
         )
     print(format_table([f"campaign {tele.get('campaign', spec.name)}", "value"],
                        rows), file=out)

@@ -20,18 +20,6 @@ session gets its tracer and profile list as arguments, built per cell
 from the capture config (:class:`~repro.obs.capture.CellCapture`), so
 what a cell observes leaves only through its result.
 
-Substrate cache
----------------
-Parsing the (cluster, network, power) spec triple is identical for
-every cell of a sweep that shares a substrate, so a process caches the
-parsed frozen spec dataclasses per canonical-JSON signature
-(:data:`SUBSTRATE_COUNTERS` accounts hits/misses/rebuild time).  Only
-the immutable *specs* are shared — every cell still gets a fresh
-:class:`~repro.sim.session.SimSession`, which validates them and owns
-all mutable simulation state, so purity is unaffected.  A warm pool worker
-therefore rebuilds each unique substrate spec at most once per worker
-lifetime.
-
 Cell kinds
 ----------
 ``collective``
@@ -67,7 +55,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "CellResult",
-    "SUBSTRATE_COUNTERS",
     "SweepCell",
     "clear_substrate_cache",
     "execute_cell",
@@ -111,25 +98,6 @@ class SweepCell:
     def spec(self) -> Dict[str, Any]:
         """The content that identifies this cell (feeds the cache key)."""
         return {"kind": self.kind, "params": self.params}
-
-    def to_dict(self) -> Dict[str, Any]:
-        """Full JSON form (content + provenance) — the wire format of
-        the campaign shard protocol and of ``campaign.json`` manifests."""
-        return {
-            "experiment": self.experiment,
-            "kind": self.kind,
-            "params": self.params,
-            "label": self.label,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "SweepCell":
-        return cls(
-            experiment=data["experiment"],
-            kind=data["kind"],
-            params=data["params"],
-            label=data.get("label", ""),
-        )
 
 
 @dataclass
@@ -186,76 +154,9 @@ class CellResult:
         return cls(**{k: data[k] for k in cls.__dataclass_fields__ if k in data})
 
 
-# ---------------------------------------------------------------------
-# Substrate cache (per process; workers keep it warm across batches)
-# ---------------------------------------------------------------------
-#: Canonical-JSON (cluster, network, power) signature → parsed frozen
-#: spec dataclasses.  Sessions are still built fresh per cell (and
-#: validate their specs) — only the immutable specs are shared.
-_SUBSTRATE_SPECS: Dict[str, tuple] = {}
-
-#: Process-wide substrate-cache accounting.  The pool folds per-batch
-#: deltas of these into :class:`~repro.runner.pool.SweepStats` (never a
-#: captured ``--metrics`` snapshot — hit counts vary across jobs/cache
-#: layers and would break its determinism).
-SUBSTRATE_COUNTERS: Dict[str, float] = {
-    "hits": 0,
-    "misses": 0,
-    "rebuild_s": 0.0,
-}
-
-
 def clear_substrate_cache() -> None:
-    """Drop cached substrate specs and zero the counters (tests)."""
-    _SUBSTRATE_SPECS.clear()
-    SUBSTRATE_COUNTERS["hits"] = 0
-    SUBSTRATE_COUNTERS["misses"] = 0
-    SUBSTRATE_COUNTERS["rebuild_s"] = 0.0
-
-
-def _substrate_specs(params: Mapping) -> tuple:
-    """Parsed ``(cluster_spec, network_spec, power_params)`` for a cell,
-    served from the per-process cache keyed by spec signature."""
-    import json
-
-    signature = json.dumps(
-        {
-            "cluster": params.get("cluster"),
-            "network": params.get("network"),
-            "power": params.get("power"),
-        },
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-    cached = _SUBSTRATE_SPECS.get(signature)
-    if cached is not None:
-        SUBSTRATE_COUNTERS["hits"] += 1
-        return cached
-    t0 = time.perf_counter()
-    from ..cluster.specs import ClusterSpec
-    from ..network.params import NetworkSpec
-    from ..power.model import PowerModelParams
-
-    cluster = (
-        ClusterSpec.from_dict(params["cluster"])
-        if params.get("cluster") is not None
-        else ClusterSpec.paper_testbed()
-    )
-    network = (
-        NetworkSpec.from_dict(params["network"])
-        if params.get("network") is not None
-        else NetworkSpec()
-    )
-    power = (
-        PowerModelParams.from_dict(params["power"])
-        if params.get("power") is not None
-        else None
-    )
-    cached = (cluster, network, power)
-    _SUBSTRATE_SPECS[signature] = cached
-    SUBSTRATE_COUNTERS["misses"] += 1
-    SUBSTRATE_COUNTERS["rebuild_s"] += time.perf_counter() - t0
-    return cached
+    """Does nothing.  Cells parse their specs afresh; the name stays
+    because ``perfbench/run.py`` calls it before every repetition."""
 
 
 # ---------------------------------------------------------------------
@@ -293,17 +194,27 @@ def _session_from_params(params: Mapping, capture: "CellCapture",
     """The cell's session, on the machine its params describe.
 
     ``default_cluster`` replaces the paper testbed when the params name
-    no cluster; it is applied after the substrate-cache lookup, whose
-    signature maps an absent cluster to the testbed."""
+    no cluster; an absent network or power spec is the session's
+    default."""
+    from ..cluster.specs import ClusterSpec
+    from ..network.params import NetworkSpec
+    from ..power.model import PowerModelParams
     from ..sim.session import SimSession
 
-    cluster, network, power = _substrate_specs(params)
-    if default_cluster is not None and params.get("cluster") is None:
-        cluster = default_cluster
+    cluster = params.get("cluster")
+    network = params.get("network")
+    power = params.get("power")
     return SimSession(
-        cluster_spec=cluster,
-        network_spec=network,
-        power_params=power,
+        cluster_spec=(
+            ClusterSpec.from_dict(cluster) if cluster is not None
+            else default_cluster
+        ),
+        network_spec=(
+            NetworkSpec.from_dict(network) if network is not None else None
+        ),
+        power_params=(
+            PowerModelParams.from_dict(power) if power is not None else None
+        ),
         keep_segments=bool(params.get("keep_segments", False)),
         governor=_cell_governor(params),
         faults=_cell_faults(params),
@@ -445,6 +356,7 @@ def _execute_app(params: Mapping, capture: "CellCapture") -> CellResult:
     from ..collectives.registry import PowerMode
 
     ranks = int(params["ranks"])
+    meter = _cell_meter(params)
     session = _session_from_params(
         params, capture, default_cluster=app_cluster_spec(ranks)
     )
@@ -454,7 +366,7 @@ def _execute_app(params: Mapping, capture: "CellCapture") -> CellResult:
         PowerMode(params.get("mode", "none")),
         session=session,
     )
-    cell = _seal(app_result.sim.job, app_result.sim, session, params, None)
+    cell = _seal(app_result.sim.job, app_result.sim, session, params, meter)
     cell.app = {
         "name": app_result.app,
         "total_time_s": app_result.total_time_s,

@@ -18,10 +18,7 @@ The pool is built once (fork-server start method, with
 :func:`run_cells` calls, so the per-submit cost is a pickle round-trip
 rather than a process spawn.  Cells ship in batches
 (:func:`repro.runner.worker.execute_batch`) to amortize IPC over many
-sub-millisecond cells, and each worker keeps a substrate cache
-(:data:`repro.runner.cells.SUBSTRATE_COUNTERS`) so the frozen
-(cluster, network, power) spec triple is parsed once per unique
-signature per worker, not once per cell.
+sub-millisecond cells.
 
 Determinism argument
 --------------------
@@ -51,13 +48,14 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .cache import ResultCache, cache_key
-from .cells import SUBSTRATE_COUNTERS, CellResult, SweepCell, execute_cell
+from .cells import CellResult, SweepCell, execute_cell
 
 __all__ = [
     "SweepStats",
+    "cell_wall_summary",
     "clear_memo",
     "load_sweep_stats",
     "resolve_jobs",
@@ -192,7 +190,8 @@ def _batch(cells: List[SweepCell], workers: int) -> List[List[SweepCell]]:
 
 @dataclass
 class SweepStats:
-    """Accounting for one :func:`run_cells` call (feeds ``bench-report``)."""
+    """Accounting for one or more :func:`run_cells` calls (feeds
+    ``bench-report``); counts add up over the calls that share it."""
 
     experiment: str = ""
     jobs: int = 1
@@ -212,12 +211,9 @@ class SweepStats:
     batches: int = 0
     #: Batches served by an already-warm worker (pool reuse across calls).
     worker_reuse: int = 0
-    #: Distinct worker PIDs that served batches.
+    #: Distinct worker PIDs that served one call's batches, the largest
+    #: count over the calls (the pool persists, so calls share workers).
     workers_used: int = 0
-    #: Substrate spec-cache accounting summed over inline + all workers.
-    substrate_hits: int = 0
-    substrate_misses: int = 0
-    substrate_rebuild_s: float = 0.0
     #: (label, wall_time_s) per executed cell, submit order.
     timings: List[Tuple[str, float]] = field(default_factory=list)
 
@@ -242,9 +238,6 @@ class SweepStats:
             "batches": self.batches,
             "worker_reuse": self.worker_reuse,
             "workers_used": self.workers_used,
-            "substrate_hits": self.substrate_hits,
-            "substrate_misses": self.substrate_misses,
-            "substrate_rebuild_s": self.substrate_rebuild_s,
             "timings": [list(t) for t in self.timings],
         }
 
@@ -257,11 +250,16 @@ class SweepStats:
         )
 
 
-def _fold_telemetry(stats: SweepStats, telemetry: Dict[str, Any]) -> None:
-    """Accumulate one worker batch's telemetry into ``stats``."""
-    stats.substrate_hits += int(telemetry.get("substrate_hits", 0))
-    stats.substrate_misses += int(telemetry.get("substrate_misses", 0))
-    stats.substrate_rebuild_s += float(telemetry.get("substrate_rebuild_s", 0.0))
+def cell_wall_summary(walls: Iterable[float]) -> Dict[str, float]:
+    """Nearest-rank p50 and p95, max and total of cell wall times (host
+    seconds, so the built-in ``sum`` is fine); zeros for no cells."""
+    walls = sorted(walls)
+
+    def rank(q: float) -> float:
+        return walls[round(q * (len(walls) - 1))] if walls else 0.0
+
+    return {"p50": rank(0.50), "p95": rank(0.95), "max": rank(1.0),
+            "total": sum(walls)}
 
 
 def _execute_pending(
@@ -284,8 +282,8 @@ def _execute_pending(
             unique[key] = (idx, cell)
             order.append(key)
     cells = [unique[k][1] for k in order]
-    stats.unique_executed = len(cells)
-    stats.executed = len(pending)
+    stats.unique_executed += len(cells)
+    stats.executed += len(pending)
 
     effective = _effective_jobs(jobs, stats)
     by_key: Dict[str, CellResult] = {}
@@ -310,8 +308,7 @@ def _execute_pending(
                 pids.add(telemetry.get("pid"))
                 if telemetry.get("warm"):
                     stats.worker_reuse += 1
-                _fold_telemetry(stats, telemetry)
-            stats.workers_used = len(pids)
+            stats.workers_used = max(stats.workers_used, len(pids))
             by_key = dict(zip(order, flat))
         except Exception:
             # Pool infrastructure failure (fork unavailable, broken
@@ -321,16 +318,8 @@ def _execute_pending(
             stats.fell_back_inline = True
             by_key = {}
     if not by_key:
-        before = dict(SUBSTRATE_COUNTERS)
         for key, cell in zip(order, cells):
             by_key[key] = execute_cell(cell, capture)
-        _fold_telemetry(stats, {
-            "substrate_hits": SUBSTRATE_COUNTERS["hits"] - before["hits"],
-            "substrate_misses": SUBSTRATE_COUNTERS["misses"] - before["misses"],
-            "substrate_rebuild_s": (
-                SUBSTRATE_COUNTERS["rebuild_s"] - before["rebuild_s"]
-            ),
-        })
     for key, cell in zip(order, cells):
         stats.timings.append((cell.label or key[:12], by_key[key].wall_time_s))
     return [(idx, key, by_key[key]) for idx, key, _cell in pending]
@@ -376,8 +365,8 @@ def run_cells(
             stats.memo_hits += 1
             # Write-through: the memo outlives any one cache (campaigns
             # pointed at different stores share one process memo), and
-            # downstream consumers — resume probes, shard collection —
-            # treat the *store* as the source of truth.
+            # downstream consumers — campaign resume probes — treat
+            # the *store* as the source of truth.
             if cache is not None and not cache.contains(key):
                 cache.put(key, cell, _MEMO[key])
             continue

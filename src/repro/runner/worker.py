@@ -9,9 +9,9 @@ Workers stay alive across :func:`~repro.runner.pool.run_cells` calls and
 serve *batches* of cells rather than single submissions — one pickle
 round-trip amortizes over the whole batch, which is what makes
 sub-millisecond cells profitable to farm out at all.  Each batch reply
-carries a telemetry dict (substrate-cache hits/misses, rebuild time,
-whether this worker was warm) that the parent folds into
-:class:`~repro.runner.pool.SweepStats` and the runner metrics registry.
+carries a telemetry dict (the worker's pid, whether it was warm, and
+the batch's cell count) that the parent folds into
+:class:`~repro.runner.pool.SweepStats`.
 """
 
 from __future__ import annotations
@@ -19,13 +19,13 @@ from __future__ import annotations
 import os
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from .cells import SUBSTRATE_COUNTERS, CellResult, SweepCell, execute_cell
+from .cells import CellResult, SweepCell, execute_cell
 
 __all__ = ["execute_batch"]
 
 #: Batches this process has served so far.  ``> 0`` on entry means the
-#: worker (and its substrate cache) is being *reused* — the signal the
-#: parent counts as ``worker_reuse``.
+#: worker is being *reused* — the signal the parent counts as
+#: ``worker_reuse``.
 _BATCHES_SERVED = 0
 
 
@@ -33,26 +33,9 @@ def execute_batch(
     cells: Sequence[SweepCell],
     capture: Optional[Any] = None,
 ) -> Tuple[List[CellResult], Dict[str, Any]]:
-    """Execute ``cells`` in order in this worker; return results + telemetry.
-
-    The telemetry dict reports the *delta* of the per-process substrate
-    counters over this batch, so the parent can attribute cache hits and
-    rebuild time to the sweep that caused them even though the cache
-    itself persists for the worker's lifetime.
-    """
+    """Execute ``cells`` in order in this worker; return results + telemetry."""
     global _BATCHES_SERVED
     warm = _BATCHES_SERVED > 0
-    before = dict(SUBSTRATE_COUNTERS)
     results = [execute_cell(cell, capture) for cell in cells]
     _BATCHES_SERVED += 1
-    telemetry = {
-        "pid": os.getpid(),
-        "warm": warm,
-        "cells": len(results),
-        "substrate_hits": SUBSTRATE_COUNTERS["hits"] - before["hits"],
-        "substrate_misses": SUBSTRATE_COUNTERS["misses"] - before["misses"],
-        "substrate_rebuild_s": (
-            SUBSTRATE_COUNTERS["rebuild_s"] - before["rebuild_s"]
-        ),
-    }
-    return results, telemetry
+    return results, {"pid": os.getpid(), "warm": warm, "cells": len(results)}

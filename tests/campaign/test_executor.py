@@ -8,7 +8,7 @@ from repro.campaign import (
     run_campaign,
     spec_digest,
 )
-from repro.runner import ResultCache
+from repro.runner import ResultCache, clear_memo
 
 SPEC = {
     "name": "t",
@@ -173,7 +173,6 @@ def test_telemetry_written(tmp_path):
     tele = json.loads((tmp_path / "camp" / "telemetry.json").read_text())
     assert tele["campaign"] == "t"
     assert tele["cells_total"] == 4
-    assert tele["driver"] == "local"
     assert "cell_wall_s" in tele
 
 
@@ -182,3 +181,20 @@ def test_stats_cover_probe_and_execution(tmp_path):
     result = _run(tmp_path)
     assert result.stats.cells_total == 4
     assert result.stats.cache_hits >= 4
+
+
+def test_stats_count_every_wave(tmp_path, monkeypatch):
+    """A campaign's waves share one SweepStats: what it saves for
+    ``bench-report`` counts every wave's cells, as telemetry does."""
+    from repro.campaign import executor
+
+    monkeypatch.setattr(executor, "MIN_WAVE", 1)  # jobs=1: waves of 8
+    clear_memo()
+    grid = dict(SPEC["sweeps"][0])
+    grid["matrix"] = {"nbytes": [1 << k for k in range(10, 16)],
+                      "mode": ["none", "proposed"]}
+    result = _run(tmp_path, spec={"name": "waves", "sweeps": [grid]})
+    assert result.ok
+    assert result.telemetry["executed"] == 12
+    assert result.stats.executed == result.stats.unique_executed == 12
+    assert len(result.stats.timings) == 12

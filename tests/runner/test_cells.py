@@ -126,6 +126,25 @@ def test_app_cell_runs_on_the_machine_its_params_describe():
         execute_cell(_app_cell(cluster=ClusterSpec(nodes=2).to_dict()))
 
 
+def test_app_cell_samples_its_kept_timeline():
+    result = execute_cell(_app_cell(keep_segments=True,
+                                    power_trace_interval_s=0.5))
+    trace = result.extra["power_trace"]
+    assert len(trace["times_s"]) == len(trace["power_kw"]) > 1
+    assert trace["mean_power_w"] > 0
+
+
+def test_bad_app_meter_request_fails_before_the_run(monkeypatch):
+    import repro.apps
+
+    def never(*args, **kwargs):
+        raise AssertionError("run_app entered")
+
+    monkeypatch.setattr(repro.apps, "run_app", never)
+    with pytest.raises(ValueError, match="power_trace_interval_s.*keep_segments"):
+        execute_cell(_app_cell(power_trace_interval_s=0.5))
+
+
 def test_execute_cell_with_faults_is_deterministic():
     """The fault plan's seed lives inside the spec, so perturbed cells
     are exactly as reproducible as quiet ones."""

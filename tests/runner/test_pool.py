@@ -65,6 +65,18 @@ def test_memo_serves_repeat_sweeps():
     assert [r.to_dict() for r in first] == [r.to_dict() for r in second]
 
 
+def test_stats_count_across_run_cells_calls():
+    """A stats object shared by several calls counts every call's cells,
+    not only the last call's."""
+    stats = SweepStats()
+    run_cells(_cells([1 << 10, 2 << 10, 2 << 10]), jobs=1, stats=stats)
+    run_cells(_cells([4 << 10]), jobs=1, stats=stats)
+    assert stats.cells_total == 4
+    assert stats.executed == 4
+    assert stats.unique_executed == 3
+    assert len(stats.timings) == 3
+
+
 def test_duplicate_cells_execute_once():
     cell = _cells([1 << 10])[0]
     stats = SweepStats()

@@ -1,14 +1,9 @@
-"""Warm-worker path: substrate cache, instrumented sweeps.
+"""Warm-worker path: instrumented sweeps.
 
-The tentpole claims of the one-execution-path refactor:
-
-* the per-process substrate cache rebuilds the frozen
-  (cluster, network, power) spec triple at most once per unique
-  signature, however many cells share it;
-* governed and faulted cells flow through ``run_cells`` with their
-  configs reconstructed in-worker, and ``jobs=4``, ``jobs=1`` and a
-  warm-cache rerun produce byte-identical results *including* the
-  GovernorReport/FaultReport payloads and captured metrics.
+Governed and faulted cells flow through ``run_cells`` with their
+configs reconstructed in-worker, and ``jobs=4``, ``jobs=1`` and a
+warm-cache rerun produce byte-identical results *including* the
+GovernorReport/FaultReport payloads and captured metrics.
 """
 
 import json
@@ -21,14 +16,11 @@ from repro.bench.experiments import (
     plan_ext_governor_alltoall,
     plan_fig2c,
 )
-from repro.cluster.specs import ClusterSpec
 from repro.runner import (
     ResultCache,
-    SUBSTRATE_COUNTERS,
     SweepCell,
     SweepStats,
     clear_memo,
-    clear_substrate_cache,
     run_cells,
     shutdown_pool,
 )
@@ -37,17 +29,13 @@ from repro.runner import (
 @pytest.fixture(autouse=True)
 def _fresh_state():
     clear_memo()
-    clear_substrate_cache()
     yield
     clear_memo()
-    clear_substrate_cache()
     shutdown_pool()
 
 
-def _collective(nbytes, n_ranks=16, cluster=None, **extra):
+def _collective(nbytes, n_ranks=16, **extra):
     params = {"op": "alltoall", "nbytes": nbytes, "n_ranks": n_ranks}
-    if cluster is not None:
-        params["cluster"] = cluster.to_dict()
     params.update(extra)
     return SweepCell("warm-test", "collective", params,
                      label=f"alltoall/{nbytes}")
@@ -60,30 +48,6 @@ def _dicts(results):
         d.pop("wall_time_s")  # host-side noise, not simulated content
         out.append(d)
     return out
-
-
-# -- substrate cache --------------------------------------------------
-def test_substrate_rebuilt_once_per_unique_signature():
-    small = ClusterSpec.with_shape(nodes=2, sockets=2, cores_per_socket=4)
-    cells = [
-        _collective(1 << 10),                  # default testbed
-        _collective(2 << 10),                  # same signature
-        _collective(1 << 10, cluster=small),   # second signature
-        _collective(2 << 10, cluster=small),   # same again
-        _collective(4 << 10),                  # first signature again
-    ]
-    run_cells(cells, jobs=1)
-    assert SUBSTRATE_COUNTERS["misses"] == 2   # one rebuild per signature
-    assert SUBSTRATE_COUNTERS["hits"] == 3
-    assert SUBSTRATE_COUNTERS["rebuild_s"] >= 0.0
-
-
-def test_substrate_counters_reach_stats():
-    stats = SweepStats()
-    run_cells([_collective(1 << 10), _collective(2 << 10)], jobs=1,
-              stats=stats)
-    assert stats.substrate_misses == 1
-    assert stats.substrate_hits == 1
 
 
 # -- instrumented cells through every layer ---------------------------

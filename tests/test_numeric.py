@@ -16,13 +16,12 @@ SCANNED = (ROOT / "src", ROOT / "tests" / "oracles")
 #: host wall times that no result digest includes.
 ALLOWED_BUILTIN_SUMS = {
     "src/repro/bench/profile.py": 4,      # job, event and flow counts
-    "src/repro/bench/report.py": 1,       # host wall times
-    "src/repro/campaign/executor.py": 1,  # host wall times
     "src/repro/cli.py": 7,                # fault and arbiter report counts
     "src/repro/collectives/alltoall.py": 1,  # Bruck block count
     "src/repro/network/fabric.py": 1,     # group sizes
     "src/repro/runner/cache.py": 2,       # byte sizes, removal counts
     "src/repro/runner/cells.py": 3,       # link flow and transition counts
+    "src/repro/runner/pool.py": 1,        # host wall times
     "src/repro/sim/session.py": 1,        # rank count of a profiled run
 }
 
